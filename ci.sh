@@ -27,6 +27,10 @@ for TIER in scalar "$BEST_TIER"; do
   [ "$BEST_TIER" = scalar ] && break
 done
 
+echo "==> multi-unit drivers (both case studies alarm; verdicts bit-identical at 1/2/4/8 threads)"
+cargo run -q --release --example fleet_monitoring | tail -n 1
+target/release/exp_scalability --seed 1
+
 echo "==> fault-injection soak (fixed seed, all fault kinds)"
 cargo test --release -q --test fault_soak -- --ignored
 

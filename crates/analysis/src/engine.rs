@@ -6,8 +6,10 @@
 //! Rules other than `no-unsafe` skip code under a test attribute
 //! (`#[cfg(test)]`, `#[cfg(all(test, …))]`, `#[test]`). Spans are found
 //! by token scanning: after a test attribute, the following item —
-//! through its matching `}` or terminating `;` — is exempt. `cfg(not(test))`
-//! is *not* exempt (that is production-only code).
+//! through its matching `}` or terminating `;` — is exempt. A variant,
+//! field or match arm ends at its `,`, or just before the `}` that closes
+//! the enclosing block, so the exemption never leaks into later code.
+//! `cfg(not(test))` is *not* exempt (that is production-only code).
 //!
 //! ## Waivers
 //!
@@ -106,6 +108,13 @@ fn is_comment(t: &Token) -> bool {
     matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
 }
 
+/// Words that open an item or statement whose signature may hold a `,`
+/// outside brackets (`fn f() -> Result<A, B>`, `where A: X, B: Y`).
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "pub", "impl", "struct", "enum", "union", "trait", "type", "const", "static", "unsafe",
+    "async", "let",
+];
+
 /// Byte ranges of test-exempt code (attribute through end of item).
 fn test_spans(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
     let sig: Vec<&Token> = toks.iter().filter(|t| !is_comment(t)).collect();
@@ -186,30 +195,49 @@ fn test_spans(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
             }
             m = n + 1;
         }
-        let mut brace = 0i32;
-        let mut end_tok = None;
+        // An item runs through its matching `}` or a `;`. Anything else —
+        // a variant, field or match arm — also ends at a `,` outside every
+        // bracket. Either way the span stops just before a `}` that would
+        // close the enclosing block.
+        let is_item = sig
+            .get(m)
+            .is_some_and(|t| ITEM_KEYWORDS.contains(&t.text(src)));
+        let (mut brace, mut paren, mut bracket) = (0i32, 0i32, 0i32);
+        let mut end = None;
         let mut p = m;
         while p < sig.len() {
             match sig[p].kind {
                 TokenKind::Punct(b'{') => brace += 1,
+                TokenKind::Punct(b'}') if brace == 0 => {
+                    end = Some((sig[p].start, p));
+                    break;
+                }
                 TokenKind::Punct(b'}') => {
                     brace -= 1;
                     if brace == 0 {
-                        end_tok = Some(p);
+                        end = Some((sig[p].end, p + 1));
                         break;
                     }
                 }
+                TokenKind::Punct(b'(') => paren += 1,
+                TokenKind::Punct(b')') => paren -= 1,
+                TokenKind::Punct(b'[') => bracket += 1,
+                TokenKind::Punct(b']') => bracket -= 1,
                 TokenKind::Punct(b';') if brace == 0 => {
-                    end_tok = Some(p);
+                    end = Some((sig[p].end, p + 1));
+                    break;
+                }
+                TokenKind::Punct(b',') if !is_item && brace == 0 && paren == 0 && bracket == 0 => {
+                    end = Some((sig[p].end, p + 1));
                     break;
                 }
                 _ => {}
             }
             p += 1;
         }
-        let end = end_tok.map_or(src.len(), |p| sig[p].end);
+        let (end, next) = end.unwrap_or((src.len(), sig.len()));
         spans.push((sig[attr_start_tok].start, end));
-        i = end_tok.map_or(sig.len(), |p| p + 1);
+        i = next;
     }
     spans
 }
@@ -520,10 +548,63 @@ mod tests {
     fn test_fn_attr_is_exempt() {
         let a = run(
             "crates/core/src/kcd.rs",
-            "#[test]\nfn t() { let v = Vec::new(); }\nfn prod() { let w = Vec::new(); }\n",
+            // the `,` inside `Result<…>` must not end the test fn early
+            "#[test]\nfn t() -> Result<Vec<u8>, ()> { let v = Vec::new(); Ok(v) }\nfn prod() { let w = Vec::new(); }\n",
         );
         assert_eq!(a.deny_count(), 1);
         assert_eq!(a.violations[0].line, 3);
+    }
+
+    #[test]
+    fn cfg_test_variant_exempts_only_the_variant() {
+        let a = run(
+            "crates/core/src/pipeline.rs",
+            r#"
+enum Job {
+    Tick(u32),
+    #[cfg(test)]
+    Wedge(u32),
+}
+
+impl Job {
+    fn a(x: Option<u8>) -> u8 { x.expect("a") }
+    fn b(x: Option<u8>) -> u8 { x.expect("b") }
+}
+"#,
+        );
+        let lines: Vec<u32> = a
+            .violations
+            .iter()
+            .filter(|v| v.rule == "panic-free")
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, vec![9, 10]);
+    }
+
+    #[test]
+    fn cfg_test_match_arm_exempts_only_the_arm() {
+        let a = run(
+            "crates/core/src/pipeline.rs",
+            r#"
+fn f(job: u8, x: Option<u8>) -> u8 {
+    let y = match job {
+        #[cfg(test)]
+        0 => x.unwrap(),
+        1 => x.expect("comma-terminated arm ends the span"),
+        #[cfg(test)]
+        _ => x.unwrap()
+    };
+    y + x.expect("after the match")
+}
+"#,
+        );
+        let lines: Vec<u32> = a
+            .violations
+            .iter()
+            .filter(|v| v.rule == "panic-free")
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, vec![6, 10]);
     }
 
     #[test]

@@ -52,27 +52,6 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
 
-    // fleet: 8 units sharded over 4 workers
-    let per_unit = frames(100);
-    let fleet_frames: Vec<Vec<Vec<Vec<f64>>>> = per_unit
-        .iter()
-        .map(|frame| vec![frame.clone(); 8])
-        .collect();
-    let unit_sizes = vec![5usize; 8];
-    group.bench_function("fleet_8_units_100_ticks_4_workers", |b| {
-        b.iter(|| {
-            let mut fleet = dbcatcher_core::FleetDetector::new(
-                DbCatcherConfig::default(),
-                &unit_sizes,
-                None,
-                4,
-            );
-            for f in &fleet_frames {
-                black_box(fleet.ingest_tick(black_box(f)));
-            }
-        })
-    });
-
     group.finish();
 }
 

@@ -1,7 +1,6 @@
 //! Hand-rolled argument parsing (the workspace's dependency policy keeps
 //! the CLI free of an argument-parser crate).
 
-use dbcatcher_core::config::CorrelationBackend;
 use dbcatcher_core::ingest::GapPolicy;
 use dbcatcher_sim::faults::FaultPreset;
 use dbcatcher_sim::CorrelatedKind;
@@ -19,18 +18,16 @@ USAGE:
   dbcatcher simulate  --chaos [--seed S] [--units N] [--ticks T] [--boots B] [--no-crash]
                       [--out <events.jsonl>] [--verdicts <verdicts.jsonl>] [--no-shrink]
   dbcatcher detect    --data <ds.json> [--learn] [--train-frac F] [--out <verdicts.jsonl>]
-                      [--backend <naive|incremental>]
                       [--faults <none|standard|heavy>] [--fault-seed S]
                       [--gap-policy <hold-last|linear-fill|mark-missing>]
   dbcatcher evaluate  --data <ds.json> [--learn] [--train-frac F]
-                      [--backend <naive|incremental>]
                       [--faults <none|standard|heavy>] [--fault-seed S]
                       [--gap-policy <hold-last|linear-fill|mark-missing>]
   dbcatcher export-csv --data <ds.json> [--unit I] --out <unit.csv>
   dbcatcher serve     --listen <addr> [--units N] [--shards S] [--queue-cap Q]
                       [--snapshot-dir D] [--snapshot-every T] [--resume D]
                       [--wal-dir D] [--fsync-every N] [--shard-restart-limit N]
-                      [--wedge-timeout-ms T] [--backend <naive|incremental>]
+                      [--wedge-timeout-ms T]
                       [--gap-policy <hold-last|linear-fill|mark-missing>]
                       [--port-file <path>]
                       [--hierarchy] [--units-per-cluster N] [--clusters-per-region N]
@@ -135,8 +132,6 @@ pub enum Command {
         train_frac: f64,
         /// Optional JSONL output path (stdout when absent).
         out: Option<String>,
-        /// Correlation engine.
-        backend: CorrelationBackend,
         /// Collector faults injected into the telemetry stream.
         faults: FaultPreset,
         /// Seed for the fault injector's dice.
@@ -152,8 +147,6 @@ pub enum Command {
         learn: bool,
         /// Fraction used for threshold learning.
         train_frac: f64,
-        /// Correlation engine.
-        backend: CorrelationBackend,
         /// Collector faults injected into the telemetry stream.
         faults: FaultPreset,
         /// Seed for the fault injector's dice.
@@ -186,8 +179,6 @@ pub enum Command {
         /// Milliseconds without shard progress (with work queued) before the
         /// supervisor declares a wedge and replaces the worker.
         wedge_timeout_ms: u64,
-        /// Correlation engine.
-        backend: CorrelationBackend,
         /// Gap-repair policy of the ingest layer.
         gap_policy: GapPolicy,
         /// File to write the bound address to (ephemeral-port scripting).
@@ -263,15 +254,6 @@ fn value<'a>(argv: &'a [String], flag: &str) -> Option<&'a str> {
     argv.windows(2)
         .find(|w| w[0] == flag)
         .map(|w| w[1].as_str())
-}
-
-fn parse_backend(argv: &[String]) -> Result<CorrelationBackend, String> {
-    match value(argv, "--backend") {
-        None => Ok(CorrelationBackend::default()),
-        Some("naive") => Ok(CorrelationBackend::Naive),
-        Some("incremental") => Ok(CorrelationBackend::Incremental),
-        Some(other) => Err(format!("unknown backend: {other}")),
-    }
 }
 
 fn parse_num<T: std::str::FromStr>(argv: &[String], flag: &str, default: T) -> Result<T, String> {
@@ -352,7 +334,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             learn: rest.iter().any(|a| a == "--learn"),
             train_frac: parse_num(rest, "--train-frac", 0.5)?,
             out: value(rest, "--out").map(str::to_string),
-            backend: parse_backend(rest)?,
             faults: parse_num(rest, "--faults", FaultPreset::None)?,
             fault_seed: parse_num(rest, "--fault-seed", 7)?,
             gap_policy: parse_num(rest, "--gap-policy", GapPolicy::default())?,
@@ -363,7 +344,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .to_string(),
             learn: rest.iter().any(|a| a == "--learn"),
             train_frac: parse_num(rest, "--train-frac", 0.5)?,
-            backend: parse_backend(rest)?,
             faults: parse_num(rest, "--faults", FaultPreset::None)?,
             fault_seed: parse_num(rest, "--fault-seed", 7)?,
             gap_policy: parse_num(rest, "--gap-policy", GapPolicy::default())?,
@@ -382,7 +362,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             fsync_every: parse_num(rest, "--fsync-every", 8)?,
             shard_restart_limit: parse_num(rest, "--shard-restart-limit", 3)?,
             wedge_timeout_ms: parse_num(rest, "--wedge-timeout-ms", 2000)?,
-            backend: parse_backend(rest)?,
             gap_policy: parse_num(rest, "--gap-policy", GapPolicy::default())?,
             port_file: value(rest, "--port-file").map(str::to_string),
             hierarchy: rest.iter().any(|a| a == "--hierarchy"),
@@ -566,7 +545,6 @@ mod tests {
                 learn: true,
                 train_frac: 0.5,
                 out: Some("v.jsonl".into()),
-                backend: CorrelationBackend::Incremental,
                 faults: FaultPreset::None,
                 fault_seed: 7,
                 gap_policy: GapPolicy::HoldLast,
@@ -579,7 +557,6 @@ mod tests {
                 data: "ds.json".into(),
                 learn: false,
                 train_frac: 0.6,
-                backend: CorrelationBackend::Incremental,
                 faults: FaultPreset::None,
                 fault_seed: 7,
                 gap_policy: GapPolicy::HoldLast,
@@ -624,23 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag() {
-        let cmd = parse(&argv("detect --data ds.json --backend naive")).unwrap();
-        match cmd {
-            Command::Detect { backend, .. } => assert_eq!(backend, CorrelationBackend::Naive),
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse(&argv("evaluate --data ds.json --backend incremental")).unwrap();
-        match cmd {
-            Command::Evaluate { backend, .. } => {
-                assert_eq!(backend, CorrelationBackend::Incremental)
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&argv("detect --data ds.json --backend turbo")).is_err());
-    }
-
-    #[test]
     fn export_csv() {
         let cmd = parse(&argv("export-csv --data ds.json --unit 2 --out u.csv")).unwrap();
         assert_eq!(
@@ -677,7 +637,6 @@ mod tests {
                 fsync_every: 4,
                 shard_restart_limit: 5,
                 wedge_timeout_ms: 750,
-                backend: CorrelationBackend::Incremental,
                 gap_policy: GapPolicy::HoldLast,
                 port_file: Some("p.txt".into()),
                 hierarchy: true,

@@ -143,14 +143,12 @@ pub fn run(command: Command) -> Result<(), CliError> {
             learn,
             train_frac,
             out,
-            backend,
             faults,
             fault_seed,
             gap_policy,
         } => {
             let dataset = load_dataset(&data).map_err(CliError::data(format!("load {data}")))?;
             let (mut config, test) = prepare(&dataset, learn, train_frac)?;
-            config.backend = backend;
             config.ingest.gap_policy = gap_policy;
             let mut sink: Box<dyn Write> = match out {
                 Some(path) => Box::new(
@@ -187,14 +185,12 @@ pub fn run(command: Command) -> Result<(), CliError> {
             data,
             learn,
             train_frac,
-            backend,
             faults,
             fault_seed,
             gap_policy,
         } => {
             let dataset = load_dataset(&data).map_err(CliError::data(format!("load {data}")))?;
             let (mut config, test) = prepare(&dataset, learn, train_frac)?;
-            config.backend = backend;
             config.ingest.gap_policy = gap_policy;
             let eval_w = 20usize;
             let mut confusion = dbcatcher_eval::metrics::Confusion::default();
@@ -250,7 +246,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             fsync_every,
             shard_restart_limit,
             wedge_timeout_ms,
-            backend,
             gap_policy,
             port_file,
             hierarchy,
@@ -270,10 +265,7 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 shard_restart_limit,
                 wedge_timeout: std::time::Duration::from_millis(wedge_timeout_ms),
                 chaos: chaos_from_env(),
-                template: DetectorTemplate {
-                    backend,
-                    gap_policy,
-                },
+                template: DetectorTemplate { gap_policy },
                 hierarchy: (hierarchy || scope_out.is_some()).then(|| HierarchyOptions {
                     units_per_cluster,
                     clusters_per_region,

@@ -1,361 +1,36 @@
-//! Fleet detection: many units in parallel.
+//! Multi-unit detection: many units through one scratch arena.
 //!
 //! The paper deploys DBCatcher over 50 units at once (§IV-D4). Units are
-//! independent, so detection shards perfectly: [`FleetDetector`] owns one
-//! [`DbCatcher`] per unit, partitions them across long-lived worker
-//! threads, and fans each monitoring tick out over mpsc channels.
-//!
-//! Failure containment: a malformed frame degrades *one unit* (its
-//! detector stops, peers keep running) and a wedged or dead worker thread
-//! degrades only the units it owns — the fleet-level `ingest_tick` never
-//! panics on worker trouble and surfaces everything in [`FleetStats`].
+//! independent, so an owner of several detectors drives them tick by
+//! tick through [`score_batch`] with one [`TickScratch`] per thread. The
+//! `serve` shards do exactly that for the units they own; an offline
+//! driver that wants parallelism splits its units into chunks, one
+//! thread and one arena per chunk, with no per-tick synchronisation.
+//! Failure containment (strikes, wedges, worker restarts) belongs to the
+//! `serve` supervisor, not to this module.
 
-use crate::config::DbCatcherConfig;
 use crate::ingest::IngestError;
-use crate::pipeline::{ComponentTiming, DbCatcher, Verdict};
+use crate::pipeline::{DbCatcher, Verdict};
 use crate::scratch::TickScratch;
-use std::collections::BTreeSet;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A verdict tagged with the unit that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetVerdict {
-    /// Index of the unit within the fleet.
+    /// Index of the unit within the batch.
     pub unit: usize,
     /// The unit-local verdict.
     pub verdict: Verdict,
 }
 
-enum Job {
-    /// One tick's frames for the whole fleet (`frames[unit][db][kpi]`),
-    /// shared across workers; each worker indexes only the units it owns.
-    Tick(Arc<Vec<Vec<Vec<f64>>>>),
-    Stop,
-    /// Test hook: sleep without replying, simulating a wedged worker.
-    #[cfg(test)]
-    Wedge(Duration),
-}
-
-/// One tick's reply from a worker.
-struct TickReply {
-    verdicts: Vec<FleetVerdict>,
-    /// Units whose detector rejected the frame this tick.
-    degraded: Vec<usize>,
-}
-
-struct Worker {
-    jobs: Sender<Job>,
-    results: Receiver<TickReply>,
-    handle: Option<JoinHandle<()>>,
-    /// Unit indices owned by this worker.
-    units: Vec<usize>,
-    /// `false` once the worker wedged, died or stopped replying.
-    alive: bool,
-}
-
-/// Shared end-of-run accumulators, merged when workers stop.
-#[derive(Debug, Default)]
-struct SharedStats {
-    window_size_sum: f64,
-    verdict_count: u64,
-    timing: ComponentTiming,
-}
-
-/// End-of-run fleet statistics, including degradation accounting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetStats {
-    /// Mean final window size over all verdicts (the paper's Window-Size
-    /// efficiency metric).
-    pub average_window_size: f64,
-    /// Accumulated per-component wall-clock time.
-    pub timing: ComponentTiming,
-    /// Total verdicts emitted.
-    pub verdict_count: u64,
-    /// Worker threads lost to wedging / death during the run.
-    pub failed_workers: usize,
-    /// Units that stopped being detected (their worker failed or their
-    /// detector rejected a frame), ascending.
-    pub degraded_units: Vec<usize>,
-}
-
-/// Parallel detector over a fleet of units.
-pub struct FleetDetector {
-    workers: Vec<Worker>,
-    num_units: usize,
-    stats: Arc<Mutex<SharedStats>>,
-    worker_timeout: Duration,
-    failed_workers: usize,
-    degraded_units: BTreeSet<usize>,
-}
-
-impl FleetDetector {
-    /// Creates a fleet detector.
-    ///
-    /// * `config` — shared detector configuration (thresholds etc.);
-    /// * `units` — per-unit database counts;
-    /// * `participation` — optional per-unit participation masks;
-    /// * `workers` — worker threads (`0` = one per available core, capped
-    ///   at the unit count).
-    ///
-    /// # Panics
-    /// Panics when `units` is empty or a participation list mismatches.
-    pub fn new(
-        config: DbCatcherConfig,
-        units: &[usize],
-        participation: Option<Vec<Vec<Vec<bool>>>>,
-        workers: usize,
-    ) -> Self {
-        assert!(!units.is_empty(), "fleet needs at least one unit");
-        if let Some(masks) = &participation {
-            assert_eq!(masks.len(), units.len(), "participation arity mismatch");
-        }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let worker_count = if workers == 0 { hw } else { workers }
-            .min(units.len())
-            .max(1);
-        let stats = Arc::new(Mutex::new(SharedStats::default()));
-
-        let mut catchers: Vec<Option<DbCatcher>> = units
-            .iter()
-            .enumerate()
-            .map(|(u, &dbs)| {
-                let mut c = DbCatcher::new(config.clone(), dbs);
-                if let Some(masks) = &participation {
-                    c = c.with_participation(masks[u].clone());
-                }
-                Some(c)
-            })
-            .collect();
-
-        let workers_vec = (0..worker_count)
-            .map(|w| {
-                let owned_units: Vec<usize> =
-                    (0..units.len()).filter(|u| u % worker_count == w).collect();
-                let mut owned: Vec<(usize, DbCatcher)> = owned_units
-                    .iter()
-                    .map(|&u| (u, catchers[u].take().expect("each unit owned once")))
-                    .collect();
-                let (job_tx, job_rx) = channel::<Job>();
-                let (res_tx, res_rx): (SyncSender<TickReply>, Receiver<_>) = sync_channel(1);
-                let stats = Arc::clone(&stats);
-                let handle = std::thread::spawn(move || {
-                    // units whose detector rejected a frame: skipped from
-                    // then on so one bad stream cannot wedge the worker
-                    let mut dead_units: Vec<usize> = Vec::new();
-                    // One scratch arena per worker thread, shared by every
-                    // owned unit: batch matrices and staging buffers stay
-                    // warm across the whole shard instead of per detector.
-                    let mut arena = TickScratch::new();
-                    while let Ok(job) = job_rx.recv() {
-                        match job {
-                            Job::Tick(frames) => {
-                                let mut verdicts = Vec::new();
-                                let mut degraded = Vec::new();
-                                for (unit, catcher) in owned.iter_mut() {
-                                    let unit = *unit;
-                                    if dead_units.contains(&unit) {
-                                        continue;
-                                    }
-                                    match catcher.try_ingest_tick_with(&frames[unit], &mut arena) {
-                                        Ok(report) => {
-                                            verdicts.extend(
-                                                report
-                                                    .verdicts
-                                                    .into_iter()
-                                                    .map(|verdict| FleetVerdict { unit, verdict }),
-                                            );
-                                        }
-                                        Err(_) => {
-                                            dead_units.push(unit);
-                                            degraded.push(unit);
-                                        }
-                                    }
-                                }
-                                if res_tx.send(TickReply { verdicts, degraded }).is_err() {
-                                    break;
-                                }
-                            }
-                            Job::Stop => break,
-                            #[cfg(test)]
-                            Job::Wedge(pause) => std::thread::sleep(pause),
-                        }
-                    }
-                    // merge end-of-run statistics
-                    let mut s = stats.lock().expect("stats mutex poisoned");
-                    for (_, c) in &owned {
-                        let t = c.timing();
-                        s.timing.correlation += t.correlation;
-                        s.timing.observation += t.observation;
-                        // weighted by verdicts handled per catcher
-                        s.window_size_sum += c.average_window_size() * c.verdict_count() as f64;
-                        s.verdict_count += c.verdict_count();
-                    }
-                });
-                Worker {
-                    jobs: job_tx,
-                    results: res_rx,
-                    handle: Some(handle),
-                    units: owned_units,
-                    alive: true,
-                }
-            })
-            .collect();
-
-        Self {
-            workers: workers_vec,
-            num_units: units.len(),
-            stats,
-            worker_timeout: Duration::from_secs(30),
-            failed_workers: 0,
-            degraded_units: BTreeSet::new(),
-        }
-    }
-
-    /// Sets how long one tick waits for each worker before writing the
-    /// worker off as wedged (default 30 s).
-    pub fn with_worker_timeout(mut self, timeout: Duration) -> Self {
-        self.worker_timeout = timeout;
-        self
-    }
-
-    /// Number of units monitored.
-    pub fn num_units(&self) -> usize {
-        self.num_units
-    }
-
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Units currently excluded from detection, ascending.
-    pub fn degraded_units(&self) -> Vec<usize> {
-        self.degraded_units.iter().copied().collect()
-    }
-
-    /// Ingests one tick for the whole fleet: `frames[unit][db][kpi]`.
-    /// Returns every verdict that became final, in unit order.
-    ///
-    /// A worker that does not reply within the configured timeout (or
-    /// whose channels closed) is marked failed and its units degraded; the
-    /// remaining workers keep detecting.
-    ///
-    /// # Panics
-    /// Panics when `frames.len()` mismatches the fleet size.
-    pub fn ingest_tick(&mut self, frames: &[Vec<Vec<f64>>]) -> Vec<FleetVerdict> {
-        assert_eq!(frames.len(), self.num_units, "fleet frame arity mismatch");
-        // fan out: one deep copy of the tick, shared by every worker
-        let shared = Arc::new(frames.to_vec());
-        let mut sent = vec![false; self.workers.len()];
-        for (w, worker) in self.workers.iter().enumerate() {
-            if !worker.alive {
-                continue;
-            }
-            sent[w] = worker.jobs.send(Job::Tick(Arc::clone(&shared))).is_ok();
-        }
-        // gather
-        let mut verdicts = Vec::new();
-        let mut failures = Vec::new();
-        for (w, worker) in self.workers.iter().enumerate() {
-            if !worker.alive {
-                continue;
-            }
-            if !sent[w] {
-                failures.push(w);
-                continue;
-            }
-            match worker.results.recv_timeout(self.worker_timeout) {
-                Ok(reply) => {
-                    verdicts.extend(reply.verdicts);
-                    self.degraded_units.extend(reply.degraded);
-                }
-                Err(_) => failures.push(w),
-            }
-        }
-        for w in failures {
-            self.fail_worker(w);
-        }
-        verdicts.sort_by_key(|v| (v.unit, v.verdict.db, v.verdict.start_tick));
-        verdicts
-    }
-
-    /// Writes worker `w` off: marks it dead, degrades its units and
-    /// detaches its thread (a wedged thread may never see `Stop`, so it
-    /// must not be joined).
-    fn fail_worker(&mut self, w: usize) {
-        if !self.workers[w].alive {
-            return;
-        }
-        self.workers[w].alive = false;
-        self.failed_workers += 1;
-        let units = self.workers[w].units.clone();
-        self.degraded_units.extend(units);
-        drop(self.workers[w].handle.take());
-    }
-
-    /// Stops the workers and returns the end-of-run [`FleetStats`].
-    pub fn finish(mut self) -> FleetStats {
-        self.shutdown();
-        // A panicked worker poisons the stats mutex; the counters inside
-        // stay additive and valid, so recover them rather than abort the
-        // whole fleet's end-of-run accounting.
-        let s = self
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let average_window_size = if s.verdict_count == 0 {
-            0.0
-        } else {
-            s.window_size_sum / s.verdict_count as f64
-        };
-        FleetStats {
-            average_window_size,
-            timing: s.timing,
-            verdict_count: s.verdict_count,
-            failed_workers: self.failed_workers,
-            degraded_units: self.degraded_units.iter().copied().collect(),
-        }
-    }
-
-    /// Test hook: wedge one worker's thread for `pause` without a reply.
-    #[cfg(test)]
-    fn wedge_worker(&self, w: usize, pause: Duration) {
-        let _ = self.workers[w].jobs.send(Job::Wedge(pause));
-    }
-
-    fn shutdown(&mut self) {
-        for worker in &self.workers {
-            if worker.alive {
-                let _ = worker.jobs.send(Job::Stop);
-            }
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl Drop for FleetDetector {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Ingests one tick for a batch of co-owned units through one shared
 /// scratch arena — the shard-granularity batch entry point. `frames[i]`
 /// feeds the `i`-th detector of the batch and verdicts come back tagged
-/// with that index. The shared arena is what amortises the lag-scan
-/// setup across the batch: the pooled batch matrices, frame staging
-/// buffers and pair-score vectors carry their capacity from unit to
-/// unit instead of re-warming per detector — the same wiring the fleet
-/// worker threads and the serve shard loop use internally.
+/// with that index, in unit order. The shared arena is what amortises
+/// the lag-scan setup across the batch: the pooled batch matrices, frame
+/// staging buffers and pair-score vectors carry their capacity from unit
+/// to unit instead of re-warming per detector — the same wiring the
+/// serve shard loop uses internally. Units of different database counts
+/// may share one arena.
 ///
 /// # Errors
 /// Stops at the first rejected frame, returning the offending unit index
@@ -386,213 +61,17 @@ pub fn score_batch<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DelayScan;
-
-    fn frame(units: usize, dbs: usize, kpis: usize, t: usize) -> Vec<Vec<Vec<f64>>> {
-        (0..units)
-            .map(|u| {
-                (0..dbs)
-                    .map(|db| {
-                        (0..kpis)
-                            .map(|k| {
-                                let tf = t as f64;
-                                100.0 * (1.0 + 0.05 * db as f64 + u as f64)
-                                    + 30.0 * (std::f64::consts::TAU * (tf + k as f64) / 30.0).sin()
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn config(kpis: usize) -> DbCatcherConfig {
-        DbCatcherConfig {
-            initial_window: 10,
-            max_window: 30,
-            delay_scan: DelayScan::Fixed(3),
-            ..DbCatcherConfig::with_kpis(kpis)
-        }
-    }
-
-    #[test]
-    fn fleet_matches_sequential_detection() {
-        let units = vec![3usize, 3, 3, 3];
-        let kpis = 4;
-        let ticks = 60;
-        // sequential reference
-        let mut seq: Vec<DbCatcher> = units
-            .iter()
-            .map(|&dbs| DbCatcher::new(config(kpis), dbs))
-            .collect();
-        let mut seq_verdicts = Vec::new();
-        for t in 0..ticks {
-            let frames = frame(4, 3, kpis, t);
-            for (u, catcher) in seq.iter_mut().enumerate() {
-                for v in catcher.ingest_tick(&frames[u]) {
-                    seq_verdicts.push(FleetVerdict {
-                        unit: u,
-                        verdict: v,
-                    });
-                }
-            }
-        }
-        seq_verdicts.sort_by_key(|v| (v.unit, v.verdict.db, v.verdict.start_tick));
-
-        // fleet with 3 workers
-        let mut fleet = FleetDetector::new(config(kpis), &units, None, 3);
-        assert_eq!(fleet.num_workers(), 3);
-        let mut fleet_verdicts = Vec::new();
-        for t in 0..ticks {
-            fleet_verdicts.extend(fleet.ingest_tick(&frame(4, 3, kpis, t)));
-        }
-        fleet_verdicts.sort_by_key(|v| (v.unit, v.verdict.db, v.verdict.start_tick));
-        assert_eq!(seq_verdicts.len(), fleet_verdicts.len());
-        for (a, b) in seq_verdicts.iter().zip(&fleet_verdicts) {
-            assert_eq!(a.unit, b.unit);
-            assert_eq!(a.verdict, b.verdict);
-        }
-    }
-
-    #[test]
-    fn fleet_backends_agree() {
-        // The backend choice rides through the shared config: a naive
-        // fleet and an incremental fleet must emit equal verdict sets.
-        let mut collected = Vec::new();
-        for backend in [
-            crate::config::CorrelationBackend::Naive,
-            crate::config::CorrelationBackend::Incremental,
-        ] {
-            let cfg = DbCatcherConfig {
-                backend,
-                ..config(3)
-            };
-            let mut fleet = FleetDetector::new(cfg, &[3, 3], None, 2);
-            let mut verdicts = Vec::new();
-            for t in 0..60 {
-                verdicts.extend(fleet.ingest_tick(&frame(2, 3, 3, t)));
-            }
-            verdicts.sort_by_key(|v| (v.unit, v.verdict.db, v.verdict.start_tick));
-            collected.push(verdicts);
-        }
-        let (naive, incr) = (&collected[0], &collected[1]);
-        assert!(!naive.is_empty());
-        assert_eq!(naive.len(), incr.len());
-        for (a, b) in naive.iter().zip(incr) {
-            assert_eq!(a.unit, b.unit);
-            assert_eq!(a.verdict.db, b.verdict.db);
-            assert_eq!(a.verdict.state, b.verdict.state);
-            assert_eq!(a.verdict.start_tick, b.verdict.start_tick);
-            assert_eq!(a.verdict.window_size, b.verdict.window_size);
-        }
-    }
-
-    #[test]
-    fn finish_reports_stats() {
-        let mut fleet = FleetDetector::new(config(3), &[2, 2], None, 2);
-        for t in 0..40 {
-            fleet.ingest_tick(&frame(2, 2, 3, t));
-        }
-        let stats = fleet.finish();
-        assert!(
-            (stats.average_window_size - 10.0).abs() < 1e-9,
-            "avg window {}",
-            stats.average_window_size
-        );
-        assert!(stats.timing.correlation > std::time::Duration::ZERO);
-        assert!(stats.verdict_count > 0);
-        assert_eq!(stats.failed_workers, 0);
-        assert!(stats.degraded_units.is_empty());
-    }
-
-    #[test]
-    fn malformed_unit_degrades_only_itself() {
-        let mut fleet = FleetDetector::new(config(3), &[2, 2], None, 2);
-        for t in 0..15 {
-            let mut frames = frame(2, 2, 3, t);
-            if t >= 5 {
-                frames[1][0].pop(); // unit 1 starts delivering short frames
-            }
-            fleet.ingest_tick(&frames); // must not panic
-        }
-        assert_eq!(fleet.degraded_units(), vec![1]);
-        let stats = fleet.finish();
-        assert_eq!(stats.degraded_units, vec![1]);
-        assert_eq!(stats.failed_workers, 0, "worker survived the bad unit");
-        assert!(stats.verdict_count > 0, "unit 0 kept detecting");
-    }
-
-    #[test]
-    fn wedged_worker_degrades_its_units_not_the_fleet() {
-        let mut fleet = FleetDetector::new(config(3), &[2, 2], None, 2)
-            .with_worker_timeout(Duration::from_millis(40));
-        for t in 0..5 {
-            fleet.ingest_tick(&frame(2, 2, 3, t));
-        }
-        fleet.wedge_worker(0, Duration::from_millis(400));
-        // the wedged worker misses the timeout; the tick still returns
-        for t in 5..40 {
-            fleet.ingest_tick(&frame(2, 2, 3, t));
-        }
-        let degraded = fleet.degraded_units();
-        assert_eq!(degraded, vec![0], "worker 0 owns exactly unit 0");
-        let stats = fleet.finish();
-        assert_eq!(stats.failed_workers, 1);
-        assert_eq!(stats.degraded_units, vec![0]);
-    }
-
-    #[test]
-    fn score_batch_matches_per_unit_ingest() {
-        // Sharing one arena across a batch must not leak state between
-        // units: verdicts are identical to isolated per-unit detectors.
-        let units = 3usize;
-        let mut isolated: Vec<DbCatcher> =
-            (0..units).map(|_| DbCatcher::new(config(3), 3)).collect();
-        let mut batched: Vec<DbCatcher> =
-            (0..units).map(|_| DbCatcher::new(config(3), 3)).collect();
-        let mut arena = TickScratch::new();
-        for t in 0..60 {
-            let frames = frame(units, 3, 3, t);
-            let mut expect = Vec::new();
-            for (u, catcher) in isolated.iter_mut().enumerate() {
-                for verdict in catcher.ingest_tick(&frames[u]) {
-                    expect.push(FleetVerdict { unit: u, verdict });
-                }
-            }
-            let got = score_batch(batched.iter_mut(), &frames, &mut arena)
-                .expect("clean frames accepted");
-            assert_eq!(expect, got, "tick {t}");
-        }
-    }
+    use crate::config::DbCatcherConfig;
 
     #[test]
     fn score_batch_reports_offending_unit() {
-        let mut batched: Vec<DbCatcher> = (0..2).map(|_| DbCatcher::new(config(3), 3)).collect();
+        let mut batched: Vec<DbCatcher> = (0..2)
+            .map(|_| DbCatcher::new(DbCatcherConfig::with_kpis(3), 3))
+            .collect();
         let mut arena = TickScratch::new();
-        let mut frames = frame(2, 3, 3, 0);
+        let mut frames = vec![vec![vec![1.0; 3]; 3]; 2];
         frames[1][0].pop(); // short KPI row on unit 1
         let err = score_batch(batched.iter_mut(), &frames, &mut arena).unwrap_err();
         assert_eq!(err.0, 1);
-    }
-
-    #[test]
-    fn zero_workers_auto_sizes() {
-        let fleet = FleetDetector::new(config(3), &[2, 2, 2], None, 0);
-        assert!(fleet.num_workers() >= 1);
-        assert!(fleet.num_workers() <= 3);
-        assert_eq!(fleet.num_units(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "fleet frame arity")]
-    fn wrong_fleet_arity_panics() {
-        let mut fleet = FleetDetector::new(config(3), &[2, 2], None, 1);
-        fleet.ingest_tick(&frame(1, 2, 3, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one unit")]
-    fn empty_fleet_panics() {
-        let _ = FleetDetector::new(config(3), &[], None, 1);
     }
 }

@@ -65,7 +65,7 @@ pub use diagnosis::{
     diagnose, root_cause, DeviationDirection, Diagnosis, RootCause, RootCauseFactor,
 };
 pub use feedback::{FeedbackModule, JudgmentRecord};
-pub use fleet::{score_batch, FleetDetector, FleetStats, FleetVerdict};
+pub use fleet::{score_batch, FleetVerdict};
 pub use ga::{Genes, GeneticConfig};
 pub use ingest::{GapPolicy, IngestConfig, IngestError, IngestReport, TelemetryHealth};
 pub use kcd::kcd;

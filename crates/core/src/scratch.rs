@@ -1,8 +1,9 @@
 //! Reusable per-tick scratch buffers (the hot path's arena).
 //!
-//! Every [`crate::DbCatcher`] owns one [`TickScratch`] — and since serve
-//! shards and fleet workers each own their detectors, each shard/worker
-//! thread gets its own arena for free, with no sharing or locking.
+//! Every [`crate::DbCatcher`] owns one [`TickScratch`]. An owner of many
+//! detectors — a serve shard, or a [`crate::fleet::score_batch`] caller —
+//! drives them all through one arena per thread instead, with no sharing
+//! or locking; units of different database counts may share it.
 //!
 //! Ownership rules:
 //!

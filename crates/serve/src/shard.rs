@@ -1,11 +1,11 @@
 //! Shard workers: the threads that own detector state.
 //!
 //! Units are independent (paper §IV-D4), so the daemon shards them across
-//! long-lived workers by `unit % shards` — the same partitioning as
-//! [`dbcatcher_core::fleet::FleetDetector`], but fed from bounded network
-//! ingress queues instead of a lock-step `ingest_tick` fan-out. Each
-//! worker owns the [`DbCatcher`] pipelines of its units; nothing else ever
-//! touches them, so no detector state is shared or locked.
+//! long-lived workers by `unit % shards`, each fed from bounded network
+//! ingress queues. Each worker owns the [`DbCatcher`] pipelines of its
+//! units and drives them through one shared scratch arena, the wiring of
+//! [`dbcatcher_core::fleet::score_batch`]; nothing else ever touches
+//! them, so no detector state is shared or locked.
 //!
 //! Durability: when a WAL is configured, every accepted tick is appended
 //! to the shard's log *before* detection (see [`crate::wal`]), so a
@@ -26,7 +26,7 @@ use crate::protocol::Response;
 use crate::server::ServerHandle;
 use crate::sync::LockRecover;
 use crate::wal::{self, PendingFrames, ShardRecovery, WalWriter};
-use dbcatcher_core::config::{CorrelationBackend, DbCatcherConfig};
+use dbcatcher_core::config::DbCatcherConfig;
 use dbcatcher_core::ingest::{GapPolicy, IngestReport};
 use dbcatcher_core::pipeline::DbCatcher;
 use dbcatcher_core::scratch::TickScratch;
@@ -290,8 +290,6 @@ pub(crate) enum Job {
 /// creates (the per-unit KPI count comes from `Hello`).
 #[derive(Debug, Clone, Default)]
 pub struct DetectorTemplate {
-    /// Correlation engine.
-    pub backend: CorrelationBackend,
     /// Gap-repair policy of the ingest layer.
     pub gap_policy: GapPolicy,
 }
@@ -299,7 +297,6 @@ pub struct DetectorTemplate {
 impl DetectorTemplate {
     fn config(&self, kpis: usize) -> DbCatcherConfig {
         let mut config = DbCatcherConfig::with_kpis(kpis);
-        config.backend = self.backend;
         config.ingest.gap_policy = self.gap_policy;
         config
     }

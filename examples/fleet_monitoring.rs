@@ -1,13 +1,16 @@
-//! Fleet-scale monitoring with root-cause hints: many units detected in
-//! parallel (paper §IV-D4 runs 50 units), each alarm explained by the
+//! Fleet-scale monitoring with root-cause hints: many units detected
+//! together (paper §IV-D4 runs 50 units), each alarm explained by the
 //! ranked deviating KPIs and a cause hypothesis (paper future work §V).
+//! Every tick goes through `score_batch`, which drives all units through
+//! one shared scratch arena — the same wiring a `serve` shard uses.
 //!
 //! ```bash
 //! cargo run --release --example fleet_monitoring
 //! ```
 
 use dbcatcher::core::diagnosis::diagnose;
-use dbcatcher::core::{DbCatcherConfig, FleetDetector};
+use dbcatcher::core::scratch::TickScratch;
+use dbcatcher::core::{score_batch, DbCatcher, DbCatcherConfig};
 use dbcatcher::sim::{interpret_cause, Kpi};
 use dbcatcher::workload::scenario::UnitScenario;
 
@@ -24,20 +27,26 @@ fn main() {
     let ticks = recordings.iter().map(|r| r.num_ticks()).min().unwrap();
 
     let config = DbCatcherConfig::default();
-    let unit_sizes: Vec<usize> = recordings.iter().map(|r| r.num_databases()).collect();
-    let masks: Vec<_> = recordings.iter().map(|r| r.participation.clone()).collect();
-    let mut fleet = FleetDetector::new(config.clone(), &unit_sizes, Some(masks), 0);
+    let mut fleet: Vec<DbCatcher> = recordings
+        .iter()
+        .map(|r| {
+            DbCatcher::new(config.clone(), r.num_databases())
+                .with_participation(r.participation.clone())
+        })
+        .collect();
+    let mut scratch = TickScratch::new();
     println!(
-        "monitoring {} units with {} worker threads\n",
-        fleet.num_units(),
-        fleet.num_workers()
+        "monitoring {} units through one scratch arena\n",
+        fleet.len()
     );
 
     let started = std::time::Instant::now();
     let mut alarms = 0;
     for t in 0..ticks {
         let frames: Vec<_> = recordings.iter().map(|r| r.tick_matrix(t)).collect();
-        for fv in fleet.ingest_tick(&frames) {
+        let verdicts =
+            score_batch(fleet.iter_mut(), &frames, &mut scratch).expect("clean recordings");
+        for fv in verdicts {
             if !fv.verdict.state.is_abnormal() {
                 continue;
             }
@@ -68,8 +77,14 @@ fn main() {
             }
         }
     }
-    let stats = fleet.finish();
-    let (avg_window, timing) = (stats.average_window_size, stats.timing);
+    let verdict_count: u64 = fleet.iter().map(DbCatcher::verdict_count).sum();
+    let window_sum: f64 = fleet
+        .iter()
+        .map(|c| c.average_window_size() * c.verdict_count() as f64)
+        .sum();
+    let avg_window = window_sum / verdict_count.max(1) as f64;
+    let correlation: std::time::Duration = fleet.iter().map(|c| c.timing().correlation).sum();
+    let observation: std::time::Duration = fleet.iter().map(|c| c.timing().observation).sum();
     println!(
         "\n{} alarms over {} unit-ticks in {:.2?}; avg window {:.1} ticks; \
          correlation {:.0}% / observation {:.0}% of detection time",
@@ -77,10 +92,8 @@ fn main() {
         ticks * recordings.len(),
         started.elapsed(),
         avg_window,
-        100.0 * timing.correlation.as_secs_f64()
-            / (timing.correlation + timing.observation).as_secs_f64(),
-        100.0 * timing.observation.as_secs_f64()
-            / (timing.correlation + timing.observation).as_secs_f64(),
+        100.0 * correlation.as_secs_f64() / (correlation + observation).as_secs_f64(),
+        100.0 * observation.as_secs_f64() / (correlation + observation).as_secs_f64(),
     );
     assert!(alarms >= 2, "both case studies must alarm");
 }

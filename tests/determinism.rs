@@ -1,99 +1,81 @@
-//! Determinism: a [`FleetDetector`] with worker threads must emit exactly
-//! the verdict set of N independent single-threaded detectors — thread
-//! scheduling may only permute emission order, never change content. Runs
-//! under both correlation backends.
+//! Determinism of the shared scratch arena: a serve shard and
+//! [`score_batch`] drive every unit they own through one [`TickScratch`].
+//! Here units of 3, 5 and 16 databases share one arena, so its buffers
+//! are reshaped on every unit hand-over. Each tick's verdicts must equal
+//! those of isolated detectors (each with its own arena) bit for bit and
+//! in the same order, under both correlation backends.
 
 use dbcatcher::core::config::CorrelationBackend;
-use dbcatcher::core::{DbCatcher, DbCatcherConfig, FleetDetector, FleetVerdict};
+use dbcatcher::core::scratch::TickScratch;
+use dbcatcher::core::{score_batch, DbCatcher, DbCatcherConfig, FleetVerdict};
 use dbcatcher::workload::scenario::UnitScenario;
 
-/// Sorts into a canonical order so thread-interleaving differences vanish.
-fn normalize(mut verdicts: Vec<FleetVerdict>) -> Vec<FleetVerdict> {
-    verdicts.sort_by_key(|v| (v.unit, v.verdict.db, v.verdict.start_tick));
-    verdicts
-}
-
 #[test]
-fn fleet_equals_sequential_on_both_backends() {
-    // Three simulated units with different seeds; unit 1 carries an
-    // injected anomaly episode, so abnormal verdicts are compared too.
-    let units: Vec<_> = [11u64, 42, 99]
+fn shared_scratch_matches_isolated_detectors_on_both_backends() {
+    // Quickstart units resized to 3, 5 and 16 databases; each carries the
+    // injected load-skew episode on database 2, so abnormal verdicts are
+    // compared too.
+    let units: Vec<_> = [(11u64, 3usize), (42, 5), (99, 16)]
         .iter()
-        .map(|&seed| UnitScenario::quickstart(seed).generate())
+        .map(|&(seed, dbs)| {
+            let mut scenario = UnitScenario::quickstart(seed);
+            scenario.num_databases = dbs;
+            scenario.generate()
+        })
         .collect();
     let ticks = units[0].num_ticks();
     let kpis = units[0].num_kpis();
-    let masks: Vec<Vec<Vec<bool>>> = units.iter().map(|u| u.participation.clone()).collect();
-    let db_counts: Vec<usize> = units.iter().map(|u| u.num_databases()).collect();
+    // a verdict as comparable bits: masked KPIs score NaN, so `Vec<f64>`
+    // equality would reject identical verdicts
+    let bits = |fv: &FleetVerdict| {
+        let v = &fv.verdict;
+        let scores: Vec<u64> = v.scores.iter().map(|s| s.to_bits()).collect();
+        let fields = (v.db, v.start_tick, v.end_tick, v.state, v.window_size);
+        (fv.unit, fields, v.expansions, scores)
+    };
 
     for backend in [CorrelationBackend::Naive, CorrelationBackend::Incremental] {
         let config = DbCatcherConfig {
             backend,
             ..DbCatcherConfig::with_kpis(kpis)
         };
-
-        // N separate single-threaded detectors
-        let mut sequential: Vec<DbCatcher> = units
-            .iter()
-            .map(|u| {
-                DbCatcher::new(config.clone(), u.num_databases())
-                    .with_participation(u.participation.clone())
-            })
-            .collect();
-        let mut seq_verdicts = Vec::new();
-        for t in 0..ticks {
-            for (unit, catcher) in sequential.iter_mut().enumerate() {
-                for verdict in catcher.ingest_tick(&units[unit].tick_matrix(t)) {
-                    seq_verdicts.push(FleetVerdict { unit, verdict });
-                }
-            }
-        }
-
-        // the fleet with 3 worker threads over the same streams
-        let mut fleet = FleetDetector::new(config, &db_counts, Some(masks.clone()), 3);
-        let mut fleet_verdicts = Vec::new();
+        let build = || -> Vec<DbCatcher> {
+            units
+                .iter()
+                .map(|u| {
+                    DbCatcher::new(config.clone(), u.num_databases())
+                        .with_participation(u.participation.clone())
+                })
+                .collect()
+        };
+        let (mut isolated, mut shared) = (build(), build());
+        let mut scratch = TickScratch::new();
+        let mut judged = [false; 3];
+        let mut abnormal = 0usize;
         for t in 0..ticks {
             let frames: Vec<Vec<Vec<f64>>> = units.iter().map(|u| u.tick_matrix(t)).collect();
-            fleet_verdicts.extend(fleet.ingest_tick(&frames));
-        }
-
-        let seq = normalize(seq_verdicts);
-        let par = normalize(fleet_verdicts);
-        assert!(!seq.is_empty(), "{backend:?}: no verdicts emitted");
-        assert!(
-            seq.iter().any(|v| v.verdict.state.is_abnormal()),
-            "{backend:?}: scenario never alarmed — comparison too weak"
-        );
-        assert_eq!(seq.len(), par.len(), "{backend:?}: verdict count diverged");
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.unit, b.unit, "{backend:?}");
-            let (va, vb) = (&a.verdict, &b.verdict);
+            let mut expect = Vec::new();
+            for (unit, catcher) in isolated.iter_mut().enumerate() {
+                for verdict in catcher.ingest_tick(&frames[unit]) {
+                    expect.push(FleetVerdict { unit, verdict });
+                }
+            }
+            let got = score_batch(shared.iter_mut(), &frames, &mut scratch)
+                .expect("clean frames accepted");
             assert_eq!(
-                (
-                    va.db,
-                    va.start_tick,
-                    va.end_tick,
-                    va.state,
-                    va.window_size,
-                    va.expansions
-                ),
-                (
-                    vb.db,
-                    vb.start_tick,
-                    vb.end_tick,
-                    vb.state,
-                    vb.window_size,
-                    vb.expansions
-                ),
-                "{backend:?} unit {}",
-                a.unit
+                expect.iter().map(bits).collect::<Vec<_>>(),
+                got.iter().map(bits).collect::<Vec<_>>(),
+                "{backend:?} tick {t}"
             );
-            // scores bitwise equal — masked KPIs are NaN, so `Vec<f64>`
-            // equality would reject identical verdicts
-            assert_eq!(va.scores.len(), vb.scores.len());
-            for (sa, sb) in va.scores.iter().zip(&vb.scores) {
-                assert_eq!(sa.to_bits(), sb.to_bits(), "{backend:?} unit {}", a.unit);
+            for v in &got {
+                judged[v.unit] = true;
+                abnormal += usize::from(v.verdict.state.is_abnormal());
             }
         }
+        assert_eq!(judged, [true; 3], "{backend:?}: a unit was never judged");
+        assert!(
+            abnormal > 0,
+            "{backend:?}: scenario never alarmed — comparison too weak"
+        );
     }
 }
