@@ -13,20 +13,6 @@ cargo build --release --workspace
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
 
-echo "==> SIMD dispatch tiers: zero-alloc + kernel differential (scalar, best available)"
-BEST_TIER=scalar
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-  BEST_TIER=avx2
-elif grep -qw sse2 /proc/cpuinfo 2>/dev/null; then
-  BEST_TIER=sse2
-fi
-for TIER in scalar "$BEST_TIER"; do
-  echo "    DBCATCHER_SIMD=$TIER"
-  DBCATCHER_SIMD="$TIER" cargo test -q --test zero_alloc
-  DBCATCHER_SIMD="$TIER" cargo test -q --test simd_differential
-  [ "$BEST_TIER" = scalar ] && break
-done
-
 echo "==> multi-unit drivers (both case studies alarm; verdicts bit-identical at 1/2/4/8 threads)"
 cargo run -q --release --example fleet_monitoring | tail -n 1
 target/release/exp_scalability --seed 1
@@ -57,8 +43,8 @@ BENCH_ALLOCS="$(mktemp)"
 BENCH_BASELINE="$(mktemp)"
 # the committed artifact is the regression baseline for this run
 cp BENCH_kcd.json "$BENCH_BASELINE"
-# no filter: covers kcd_backends plus the kcd_kernels (per-tier sweeps)
-# and kcd_batch (per-unit vs fleet-batched) groups in one pass
+# no filter: covers kcd_backends plus the kcd_kernels (pair scan) and
+# kcd_batch (per-unit vs fleet-batched) groups in one pass
 DBCATCHER_BENCH_FAST=1 DBCATCHER_BENCH_JSON="$BENCH_RAW" \
   DBCATCHER_BENCH_ALLOCS="$BENCH_ALLOCS" \
   cargo bench -p dbcatcher-bench --bench kcd

@@ -12,7 +12,6 @@ use dbcatcher_core::kcd::kcd;
 use dbcatcher_core::kcd_incremental::IncrementalCorrelator;
 use dbcatcher_core::queues::KpiQueues;
 use dbcatcher_core::scratch::TickScratch;
-use dbcatcher_core::simd::{self, SimdTier};
 use dbcatcher_core::{score_batch, DbCatcher, DbCatcherConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -22,10 +21,9 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY AUDIT — one of the workspace's two sanctioned `unsafe` surfaces
-// (this file and its twin `tests/zero_alloc.rs` are excluded from
-// dbclint's `no-unsafe` rule; the other surface, the SIMD intrinsics in
-// `crates/core/src/simd.rs`, stays in scope with per-site waivers).
+// SAFETY AUDIT — the workspace's one sanctioned `unsafe` surface, the
+// counting allocator (this file and its twin `tests/zero_alloc.rs` are
+// excluded from dbclint's `no-unsafe` rule).
 //
 // `GlobalAlloc` is an unsafe trait because the allocator must uphold the
 // contract rustc's codegen relies on: returned pointers are valid for
@@ -163,43 +161,27 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-tier kernel sweeps: the raw lane dot product (the lag scan's
-/// inner loop) and a full pair-score lag scan, once per dispatch tier
-/// the host supports — scalar vs SSE2 vs AVX2 per-sweep nanoseconds.
+/// One full lag scan at the acceptance config (k=300, m=5): the whole
+/// prepared sweep of one pair, the kernel the correlation step repeats.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kcd_kernels");
-    for &tier in SimdTier::supported() {
-        for &n in &[64usize, 300] {
-            let x = series(n, 0.0);
-            let y = series(n, 2.0);
-            group.bench_with_input(
-                BenchmarkId::new(format!("dot_{}", tier.name()), n),
-                &n,
-                |b, _| b.iter(|| simd::dot(tier, black_box(&x), black_box(&y))),
-            );
-        }
-        // One full lag scan at the acceptance config (k=300, m=5): the
-        // whole prepared sweep, not just the inner dot.
-        let (k, m, d) = (300usize, 5usize, 2usize);
-        let data: Vec<Vec<f64>> = (0..d).map(|db| series(4 * k, db as f64 * 1.7)).collect();
-        let mut engine = IncrementalCorrelator::new(d, 1, 2 * k).with_tier(tier);
-        let mut tick = 0usize;
-        while tick < 2 * k {
-            engine.push(
-                &data
-                    .iter()
-                    .map(|s| vec![s[tick % s.len()]])
-                    .collect::<Vec<_>>(),
-            );
-            tick += 1;
-        }
-        let start = engine.next_tick() - k as u64;
-        group.bench_with_input(
-            BenchmarkId::new(format!("pair_scan_{}", tier.name()), k),
-            &k,
-            |b, _| b.iter(|| engine.pair_score(0, 1, 0, black_box(start), k, m)),
+    let (k, m, d) = (300usize, 5usize, 2usize);
+    let data: Vec<Vec<f64>> = (0..d).map(|db| series(4 * k, db as f64 * 1.7)).collect();
+    let mut engine = IncrementalCorrelator::new(d, 1, 2 * k);
+    let mut tick = 0usize;
+    while tick < 2 * k {
+        engine.push(
+            &data
+                .iter()
+                .map(|s| vec![s[tick % s.len()]])
+                .collect::<Vec<_>>(),
         );
+        tick += 1;
     }
+    let start = engine.next_tick() - k as u64;
+    group.bench_with_input(BenchmarkId::new("pair_scan", k), &k, |b, _| {
+        b.iter(|| engine.pair_score(0, 1, 0, black_box(start), k, m))
+    });
     group.finish();
 }
 

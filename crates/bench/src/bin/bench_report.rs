@@ -129,8 +129,7 @@ fn run(
         return Err(format!("{raw_path}: no kcd_backends results"));
     }
 
-    // label shape: kcd_kernels/<op>_<tier>/<n> — per-sweep ns for the
-    // dispatch tiers (scalar vs sse2 vs avx2).
+    // label shape: kcd_kernels/<kernel>/<n> — per-sweep ns.
     let mut kernels = Vec::new();
     // label shape: kcd_batch/<mode>/<units> — per-unit vs batched ticks.
     let mut batch: Vec<(String, Option<f64>, Option<f64>)> = Vec::new();
@@ -146,15 +145,11 @@ fn run(
         let mut parts = label.split('/');
         match parts.next() {
             Some("kcd_kernels") => {
-                let (Some(bench), Some(n)) = (parts.next(), parts.next()) else {
-                    continue;
-                };
-                let Some((op, tier)) = bench.rsplit_once('_') else {
+                let (Some(kernel), Some(n)) = (parts.next(), parts.next()) else {
                     continue;
                 };
                 kernels.push(serde_json::json!({
-                    "kernel": op,
-                    "tier": tier,
+                    "kernel": kernel,
                     "n": n,
                     "ns_per_iter": ns,
                 }));

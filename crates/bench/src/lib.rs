@@ -10,6 +10,8 @@
 //! [`dbcatcher_eval::experiments::Scale::lab`]); `--scale 1.0` regenerates
 //! paper-sized datasets.
 
+#![forbid(unsafe_code)]
+
 use dbcatcher_eval::experiments::DatasetComparison;
 use dbcatcher_eval::report::{pct, render_table, secs};
 

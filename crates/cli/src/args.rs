@@ -250,6 +250,40 @@ pub enum Command {
     Help,
 }
 
+/// The synopsis entries of USAGE, each as its words with `[`/`]`
+/// stripped: `["dbcatcher", <command>, "--flag", <placeholder>, …]`.
+fn usage_entries() -> Vec<Vec<&'static str>> {
+    let mut entries: Vec<Vec<&'static str>> = Vec::new();
+    let mut open = false;
+    for line in USAGE.lines() {
+        if line.starts_with("  dbcatcher ") {
+            entries.push(Vec::new());
+            open = true;
+        } else if !line.starts_with("    ") {
+            open = false;
+        }
+        if let (true, Some(entry)) = (open, entries.last_mut()) {
+            entry.extend(line.split_whitespace().map(|w| w.trim_matches(['[', ']'])));
+        }
+    }
+    entries
+}
+
+/// The `--flags` that the USAGE entries of `command` list, or `None` when
+/// no entry names the command. `simulate --chaos` has its own entry, kept
+/// apart from the dataset `simulate` entries.
+fn usage_flags(command: &str, chaos: bool) -> Option<Vec<&'static str>> {
+    let mut flags = None;
+    for words in usage_entries() {
+        if words.get(1) == Some(&command) && words.contains(&"--chaos") == chaos {
+            flags
+                .get_or_insert_with(Vec::new)
+                .extend(words.into_iter().filter(|w| w.starts_with("--")));
+        }
+    }
+    flags
+}
+
 fn value<'a>(argv: &'a [String], flag: &str) -> Option<&'a str> {
     argv.windows(2)
         .find(|w| w[0] == flag)
@@ -268,16 +302,25 @@ fn parse_num<T: std::str::FromStr>(argv: &[String], flag: &str, default: T) -> R
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
-/// A human-readable message for unknown commands, bad flags or missing
-/// required arguments.
+/// A human-readable message for unknown commands, flags the command's
+/// USAGE entry does not list, bad values or missing required arguments.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some(command) = argv.first() else {
         return Err("missing command".into());
     };
     let rest = &argv[1..];
+    let chaos = command == "simulate" && rest.iter().any(|a| a == "--chaos");
+    if let Some(allowed) = usage_flags(command, chaos) {
+        if let Some(flag) = rest
+            .iter()
+            .find(|a| a.starts_with("--") && !allowed.contains(&a.as_str()))
+        {
+            return Err(format!("unknown flag for {command}: {flag}"));
+        }
+    }
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "simulate" if rest.iter().any(|a| a == "--chaos") => Ok(Command::Chaos {
+        "simulate" if chaos => Ok(Command::Chaos {
             seed: match value(rest, "--seed") {
                 None => None,
                 Some(raw) => Some(
@@ -739,6 +782,44 @@ mod tests {
             }
         );
         assert!(parse(&argv("analyze-fleet --units 4")).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (line, flag) in [
+            ("detect --data ds.json --backend naive", "--backend"),
+            ("detect --data ds.json --fault-sed 3", "--fault-sed"),
+            ("simulate --chaos --kind tpcc", "--kind"),
+            ("stats --connect x --units 3", "--units"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err, format!("unknown flag for {}: {flag}", argv(line)[0]));
+        }
+    }
+
+    #[test]
+    fn every_usage_flag_parses() {
+        // Each USAGE entry with every flag it lists, values shaped by the
+        // placeholder: the first choice of `<a|b>`, otherwise `1`.
+        let entries = usage_entries();
+        assert_eq!(entries.len(), 12, "one entry per `dbcatcher` USAGE line");
+        for words in entries {
+            let mut args = vec![words[1].to_string()];
+            for (i, word) in words.iter().enumerate().skip(2) {
+                if !word.starts_with("--") {
+                    continue;
+                }
+                args.push(word.to_string());
+                if let Some(next) = words.get(i + 1).filter(|w| !w.starts_with("--")) {
+                    let value = match next.strip_prefix('<').and_then(|p| p.split_once('|')) {
+                        Some((first, _)) => first,
+                        None => "1",
+                    };
+                    args.push(value.to_string());
+                }
+            }
+            assert!(parse(&args).is_ok(), "{args:?}: {:?}", parse(&args));
+        }
     }
 
     #[test]

@@ -27,19 +27,18 @@
 //! Numerical contract: scores are algebraically identical to
 //! [`crate::kcd::kcd_normalized`] but may differ in the last few ulps
 //! because moments are derived from prefix sums and the dot products run
-//! through the four-lane SIMD scheme of [`crate::simd`] (dispatch tier
-//! chosen at construction; every tier is bit-identical, see that
-//! module's contract). Whole-window constants take the exact convention
-//! branches (detected from the deques), and near-constant *segments*
-//! fall back to the exact two-pass formulation, so the degenerate
-//! conventions (constant-vs-constant = 1, constant-vs-varying = 0) are
-//! preserved bit-for-bit. The differential suite
-//! (`tests/differential.rs`, `tests/simd_differential.rs`) pins the
-//! backends to verdict-for-verdict equality and the dispatch tiers to
-//! bit equality.
+//! under a fixed four-lane accumulation order (`dot` / `dot2` below).
+//! That order is plain portable Rust — no intrinsics, no FMA, no
+//! run-time dispatch — so every host computes the same bits, and the
+//! golden verdict streams pin them. Whole-window constants take the
+//! exact convention branches (detected from the deques), and
+//! near-constant *segments* fall back to the exact two-pass formulation,
+//! so the degenerate conventions (constant-vs-constant = 1,
+//! constant-vs-varying = 0) are preserved bit-for-bit. The differential
+//! suite (`tests/differential.rs`) pins the backends to
+//! verdict-for-verdict equality.
 
 use crate::queues::KpiQueues;
-use crate::simd::{self, SimdTier};
 use std::collections::VecDeque;
 
 /// A segment's energy below `EPS_PER_POINT · len` is treated as
@@ -225,8 +224,6 @@ pub struct IncrementalCorrelator {
     states: Vec<SeriesState>,
     /// Total ticks ingested (== next absolute tick).
     len: u64,
-    /// Kernel dispatch tier, resolved once at construction.
-    tier: SimdTier,
 }
 
 impl IncrementalCorrelator {
@@ -248,24 +245,7 @@ impl IncrementalCorrelator {
                 // dbclint: allow(hot-path-alloc) — one-time per-series state slab at construction.
                 .collect(),
             len: 0,
-            tier: SimdTier::detect(),
         }
-    }
-
-    /// Overrides the kernel dispatch tier (differential tests, benches).
-    ///
-    /// # Panics
-    /// Panics when the host cannot execute `tier` — a forced tier must
-    /// never reach the intrinsic back-ends unguarded.
-    pub fn with_tier(mut self, tier: SimdTier) -> Self {
-        assert!(tier.is_supported(), "SIMD tier not supported on this host");
-        self.tier = tier;
-        self
-    }
-
-    /// The kernel dispatch tier this engine resolved at construction.
-    pub fn tier(&self) -> SimdTier {
-        self.tier
     }
 
     /// Rebuilds the engine from a queue snapshot by replaying its retained
@@ -428,23 +408,22 @@ impl IncrementalCorrelator {
         let mut best;
         let mut s;
         if max_s >= 2 {
-            let (c0, c1, c2, c3, c4) = lag_correlation_penta(self.tier, &sa.cache, &sb.cache, len);
+            let (c0, c1, c2, c3, c4) = lag_correlation_penta(&sa.cache, &sb.cache, len);
             best = c0.max(c1).max(c2).max(c3).max(c4);
             s = 3;
         } else {
-            best = lag_correlation(self.tier, &sa.cache, &sb.cache, 0, 0, len);
+            best = lag_correlation(&sa.cache, &sb.cache, 0, 0, len);
             s = 1;
         }
         // Remaining lags go two at a time — four direction chains per
         // memory sweep — with an odd final lag on the dual-chain pass.
         while s <= max_s && best < 1.0 {
             if s < max_s {
-                let (c1, c2, c3, c4) =
-                    lag_correlation_quad(self.tier, &sa.cache, &sb.cache, s, len - s);
+                let (c1, c2, c3, c4) = lag_correlation_quad(&sa.cache, &sb.cache, s, len - s);
                 best = best.max(c1).max(c2).max(c3).max(c4);
                 s += 2;
             } else {
-                let (c1, c2) = lag_correlation_pair(self.tier, &sa.cache, &sb.cache, s, len - s);
+                let (c1, c2) = lag_correlation_pair(&sa.cache, &sb.cache, s, len - s);
                 best = best.max(c1).max(c2);
                 s += 1;
             }
@@ -465,16 +444,9 @@ fn segment_moments(c: &NormCache, off: usize, len: usize) -> (f64, f64) {
 
 /// Correlation of `x.norm[x_off..x_off + len]` against
 /// `y.norm[y_off..y_off + len]`, moments from prefix sums, one
-/// lane-parallel dot sweep ([`simd::dot`]). Falls back to the exact
+/// lane-parallel dot sweep ([`dot`]). Falls back to the exact
 /// two-pass formula on degenerate segments.
-fn lag_correlation(
-    tier: SimdTier,
-    x: &NormCache,
-    y: &NormCache,
-    x_off: usize,
-    y_off: usize,
-    len: usize,
-) -> f64 {
+fn lag_correlation(x: &NormCache, y: &NormCache, x_off: usize, y_off: usize, len: usize) -> f64 {
     let n = len as f64;
     let xs = &x.norm[x_off..x_off + len];
     let ys = &y.norm[y_off..y_off + len];
@@ -487,24 +459,17 @@ fn lag_correlation(
         // witness — defer to the naive formulation.
         return crate::kcd::centered_correlation(xs, ys);
     }
-    let dot = simd::dot(tier, xs, ys);
-    let centered = dot - n * mx * my;
+    let centered = dot(xs, ys) - n * mx * my;
     (centered / (nx.sqrt() * ny.sqrt())).clamp(-1.0, 1.0)
 }
 
 /// Both directions of lag `s` in one fused pass: the dot products of
 /// `x[s..]·y[..len]` and `x[..len]·y[s..]` run as the two chains of one
-/// [`simd::dot2`] sweep, halving the number of memory sweeps while
+/// [`dot2`] sweep, halving the number of memory sweeps while
 /// keeping each chain's lane scheme — and therefore every score bit —
 /// identical to [`lag_correlation`] run twice. Either direction with a
 /// (near-)degenerate segment takes the exact-oracle path unchanged.
-fn lag_correlation_pair(
-    tier: SimdTier,
-    x: &NormCache,
-    y: &NormCache,
-    s: usize,
-    len: usize,
-) -> (f64, f64) {
+fn lag_correlation_pair(x: &NormCache, y: &NormCache, s: usize, len: usize) -> (f64, f64) {
     let n = len as f64;
     let eps = EPS_PER_POINT * n;
     let (mx1, nx1) = segment_moments(x, s, len);
@@ -513,15 +478,15 @@ fn lag_correlation_pair(
     let (my2, ny2) = segment_moments(y, s, len);
     if nx1 <= eps || ny1 <= eps || nx2 <= eps || ny2 <= eps {
         return (
-            lag_correlation(tier, x, y, s, 0, len),
-            lag_correlation(tier, x, y, 0, s, len),
+            lag_correlation(x, y, s, 0, len),
+            lag_correlation(x, y, 0, s, len),
         );
     }
     let xa = &x.norm[s..s + len];
     let yb = &y.norm[..len];
     let xb = &x.norm[..len];
     let ya = &y.norm[s..s + len];
-    let (d1, d2) = simd::dot2(tier, xa, yb, xb, ya);
+    let (d1, d2) = dot2(xa, yb, xb, ya);
     let c1 = ((d1 - n * mx1 * my1) / (nx1.sqrt() * ny1.sqrt())).clamp(-1.0, 1.0);
     let c2 = ((d2 - n * mx2 * my2) / (nx2.sqrt() * ny2.sqrt())).clamp(-1.0, 1.0);
     (c1, c2)
@@ -530,16 +495,11 @@ fn lag_correlation_pair(
 /// Lags 0, 1 and 2 — five chains (lag 0 is its own reverse) — grouped
 /// behind one moments/degeneracy check over `x.norm[..len]` and
 /// `y.norm[..len]`. Every chain runs the shared lane scheme
-/// ([`simd::dot`] / [`simd::dot2`]), so all five scores are
+/// ([`dot`] / [`dot2`]), so all five scores are
 /// bit-identical to the unfused passes; any (near-)degenerate segment
 /// drops the whole step back to the narrower kernels. Requires
 /// `len >= 4`.
-fn lag_correlation_penta(
-    tier: SimdTier,
-    x: &NormCache,
-    y: &NormCache,
-    len: usize,
-) -> (f64, f64, f64, f64, f64) {
+fn lag_correlation_penta(x: &NormCache, y: &NormCache, len: usize) -> (f64, f64, f64, f64, f64) {
     let l1 = len - 1;
     let l2 = len - 2;
     let (n0, n1, n2) = (len as f64, l1 as f64, l2 as f64);
@@ -565,16 +525,16 @@ fn lag_correlation_penta(
         || nx4 <= eps2
         || ny4 <= eps2
     {
-        let c0 = lag_correlation(tier, x, y, 0, 0, len);
-        let (c1, c2) = lag_correlation_pair(tier, x, y, 1, l1);
-        let (c3, c4) = lag_correlation_pair(tier, x, y, 2, l2);
+        let c0 = lag_correlation(x, y, 0, 0, len);
+        let (c1, c2) = lag_correlation_pair(x, y, 1, l1);
+        let (c3, c4) = lag_correlation_pair(x, y, 2, l2);
         return (c0, c1, c2, c3, c4);
     }
     let xs = &x.norm[..len];
     let ys = &y.norm[..len];
-    let d0 = simd::dot(tier, xs, ys);
-    let (d1, d2) = simd::dot2(tier, &xs[1..], &ys[..l1], &xs[..l1], &ys[1..]);
-    let (d3, d4) = simd::dot2(tier, &xs[2..], &ys[..l2], &xs[..l2], &ys[2..]);
+    let d0 = dot(xs, ys);
+    let (d1, d2) = dot2(&xs[1..], &ys[..l1], &xs[..l1], &ys[1..]);
+    let (d3, d4) = dot2(&xs[2..], &ys[..l2], &xs[..l2], &ys[2..]);
     let c0 = ((d0 - n0 * mx0 * my0) / (nx0.sqrt() * ny0.sqrt())).clamp(-1.0, 1.0);
     let c1 = ((d1 - n1 * mx1 * my1) / (nx1.sqrt() * ny1.sqrt())).clamp(-1.0, 1.0);
     let c2 = ((d2 - n1 * mx2 * my2) / (nx2.sqrt() * ny2.sqrt())).clamp(-1.0, 1.0);
@@ -586,12 +546,11 @@ fn lag_correlation_penta(
 /// Lags `s` and `s + 1` — four direction chains — grouped behind one
 /// moments/degeneracy check. The lag-`s` segments are `len` points, the
 /// lag-`s + 1` segments `len - 1`; each direction pair runs as one
-/// [`simd::dot2`] sweep under the shared lane scheme, so each of the
+/// [`dot2`] sweep under the shared lane scheme, so each of the
 /// four scores is bit-identical to the unfused passes; any
 /// (near-)degenerate segment drops the whole step back to the
 /// dual-chain path.
 fn lag_correlation_quad(
-    tier: SimdTier,
     x: &NormCache,
     y: &NormCache,
     s: usize,
@@ -619,8 +578,8 @@ fn lag_correlation_quad(
         || nx4 <= eps2
         || ny4 <= eps2
     {
-        let (c1, c2) = lag_correlation_pair(tier, x, y, s, len);
-        let (c3, c4) = lag_correlation_pair(tier, x, y, s + 1, short);
+        let (c1, c2) = lag_correlation_pair(x, y, s, len);
+        let (c3, c4) = lag_correlation_pair(x, y, s + 1, short);
         return (c1, c2, c3, c4);
     }
     let xa = &x.norm[s..s + len];
@@ -629,13 +588,76 @@ fn lag_correlation_quad(
     let yb = &y.norm[..len];
     let xc = &x.norm[s + 1..s + 1 + short];
     let yd = &y.norm[s + 1..s + 1 + short];
-    let (d1, d2) = simd::dot2(tier, xa, yb, xb, ya);
-    let (d3, d4) = simd::dot2(tier, xc, &yb[..short], &xb[..short], yd);
+    let (d1, d2) = dot2(xa, yb, xb, ya);
+    let (d3, d4) = dot2(xc, &yb[..short], &xb[..short], yd);
     let c1 = ((d1 - n1 * mx1 * my1) / (nx1.sqrt() * ny1.sqrt())).clamp(-1.0, 1.0);
     let c2 = ((d2 - n1 * mx2 * my2) / (nx2.sqrt() * ny2.sqrt())).clamp(-1.0, 1.0);
     let c3 = ((d3 - n2 * mx3 * my3) / (nx3.sqrt() * ny3.sqrt())).clamp(-1.0, 1.0);
     let c4 = ((d4 - n2 * mx4 * my4) / (nx4.sqrt() * ny4.sqrt())).clamp(-1.0, 1.0);
     (c1, c2, c3, c4)
+}
+
+/// Dot product under the lag scan's fixed four-lane order: virtual lane
+/// `j` accumulates `x[4b + j] * y[4b + j]` over the `n / 4` full blocks,
+/// the lanes reduce as `(l0 + l1) + (l2 + l3)`, and the `n % 4` tail
+/// elements add sequentially onto that sum. Four independent chains give
+/// the compiler vector-width parallelism on any target; the order itself
+/// is what the golden verdict streams pin, so it must not change.
+fn dot(xs: &[f64], ys: &[f64]) -> f64 {
+    debug_assert_eq!(xs.len(), ys.len());
+    let mut lanes = [0.0f64; 4];
+    let x4 = xs.chunks_exact(4);
+    let y4 = ys.chunks_exact(4);
+    let xt = x4.remainder();
+    let yt = y4.remainder();
+    for (x, y) in x4.zip(y4) {
+        lanes[0] += x[0] * y[0];
+        lanes[1] += x[1] * y[1];
+        lanes[2] += x[2] * y[2];
+        lanes[3] += x[3] * y[3];
+    }
+    let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    for (&x, &y) in xt.iter().zip(yt.iter()) {
+        sum += x * y;
+    }
+    sum
+}
+
+/// Two dot products over equal-length chains in one memory sweep, which
+/// is how the lag scan pairs the `+s`/`-s` shifted windows. Each chain
+/// keeps the lane order of [`dot`], so the pair is bit-identical to two
+/// [`dot`] calls.
+fn dot2(x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64]) -> (f64, f64) {
+    debug_assert_eq!(x1.len(), y1.len());
+    debug_assert_eq!(x1.len(), x2.len());
+    debug_assert_eq!(x2.len(), y2.len());
+    let mut a = [0.0f64; 4];
+    let mut b = [0.0f64; 4];
+    let x14 = x1.chunks_exact(4);
+    let y14 = y1.chunks_exact(4);
+    let x24 = x2.chunks_exact(4);
+    let y24 = y2.chunks_exact(4);
+    let (x1t, y1t) = (x14.remainder(), y14.remainder());
+    let (x2t, y2t) = (x24.remainder(), y24.remainder());
+    for (((x1c, y1c), x2c), y2c) in x14.zip(y14).zip(x24).zip(y24) {
+        a[0] += x1c[0] * y1c[0];
+        a[1] += x1c[1] * y1c[1];
+        a[2] += x1c[2] * y1c[2];
+        a[3] += x1c[3] * y1c[3];
+        b[0] += x2c[0] * y2c[0];
+        b[1] += x2c[1] * y2c[1];
+        b[2] += x2c[2] * y2c[2];
+        b[3] += x2c[3] * y2c[3];
+    }
+    let mut s1 = (a[0] + a[1]) + (a[2] + a[3]);
+    let mut s2 = (b[0] + b[1]) + (b[2] + b[3]);
+    for (&x, &y) in x1t.iter().zip(y1t.iter()) {
+        s1 += x * y;
+    }
+    for (&x, &y) in x2t.iter().zip(y2t.iter()) {
+        s2 += x * y;
+    }
+    (s1, s2)
 }
 
 #[cfg(test)]
@@ -815,13 +837,11 @@ mod tests {
             cy.extend(&raw_y);
             for s in 1..len.saturating_sub(1) {
                 let seg = len - s;
-                for &tier in SimdTier::supported() {
-                    let (c1, c2) = lag_correlation_pair(tier, &cx, &cy, s, seg);
-                    let r1 = lag_correlation(tier, &cx, &cy, s, 0, seg);
-                    let r2 = lag_correlation(tier, &cx, &cy, 0, s, seg);
-                    assert_eq!(c1.to_bits(), r1.to_bits(), "{tier:?} len {len} s {s} dir 1");
-                    assert_eq!(c2.to_bits(), r2.to_bits(), "{tier:?} len {len} s {s} dir 2");
-                }
+                let (c1, c2) = lag_correlation_pair(&cx, &cy, s, seg);
+                let r1 = lag_correlation(&cx, &cy, s, 0, seg);
+                let r2 = lag_correlation(&cx, &cy, 0, s, seg);
+                assert_eq!(c1.to_bits(), r1.to_bits(), "len {len} s {s} dir 1");
+                assert_eq!(c2.to_bits(), r2.to_bits(), "len {len} s {s} dir 2");
             }
         }
     }
@@ -851,31 +871,13 @@ mod tests {
             cy.extend(&raw_y);
             for s in 1..len.saturating_sub(2) {
                 let seg = len - s;
-                for &tier in SimdTier::supported() {
-                    let (q1, q2, q3, q4) = lag_correlation_quad(tier, &cx, &cy, s, seg);
-                    let (p1, p2) = lag_correlation_pair(tier, &cx, &cy, s, seg);
-                    let (p3, p4) = lag_correlation_pair(tier, &cx, &cy, s + 1, seg - 1);
-                    assert_eq!(
-                        q1.to_bits(),
-                        p1.to_bits(),
-                        "{tier:?} len {len} s {s} lag s dir 1"
-                    );
-                    assert_eq!(
-                        q2.to_bits(),
-                        p2.to_bits(),
-                        "{tier:?} len {len} s {s} lag s dir 2"
-                    );
-                    assert_eq!(
-                        q3.to_bits(),
-                        p3.to_bits(),
-                        "{tier:?} len {len} s {s} lag s+1 dir 1"
-                    );
-                    assert_eq!(
-                        q4.to_bits(),
-                        p4.to_bits(),
-                        "{tier:?} len {len} s {s} lag s+1 dir 2"
-                    );
-                }
+                let (q1, q2, q3, q4) = lag_correlation_quad(&cx, &cy, s, seg);
+                let (p1, p2) = lag_correlation_pair(&cx, &cy, s, seg);
+                let (p3, p4) = lag_correlation_pair(&cx, &cy, s + 1, seg - 1);
+                assert_eq!(q1.to_bits(), p1.to_bits(), "len {len} s {s} lag s dir 1");
+                assert_eq!(q2.to_bits(), p2.to_bits(), "len {len} s {s} lag s dir 2");
+                assert_eq!(q3.to_bits(), p3.to_bits(), "len {len} s {s} lag s+1 dir 1");
+                assert_eq!(q4.to_bits(), p4.to_bits(), "len {len} s {s} lag s+1 dir 2");
             }
         }
     }
@@ -902,53 +904,73 @@ mod tests {
             cy.hi = hi_y;
             cx.extend(&raw_x);
             cy.extend(&raw_y);
-            for &tier in SimdTier::supported() {
-                let (c0, c1, c2, c3, c4) = lag_correlation_penta(tier, &cx, &cy, len);
-                let r0 = lag_correlation(tier, &cx, &cy, 0, 0, len);
-                let (r1, r2) = lag_correlation_pair(tier, &cx, &cy, 1, len - 1);
-                let (r3, r4) = lag_correlation_pair(tier, &cx, &cy, 2, len - 2);
-                assert_eq!(c0.to_bits(), r0.to_bits(), "{tier:?} len {len} lag 0");
-                assert_eq!(c1.to_bits(), r1.to_bits(), "{tier:?} len {len} lag 1 dir 1");
-                assert_eq!(c2.to_bits(), r2.to_bits(), "{tier:?} len {len} lag 1 dir 2");
-                assert_eq!(c3.to_bits(), r3.to_bits(), "{tier:?} len {len} lag 2 dir 1");
-                assert_eq!(c4.to_bits(), r4.to_bits(), "{tier:?} len {len} lag 2 dir 2");
-            }
+            let (c0, c1, c2, c3, c4) = lag_correlation_penta(&cx, &cy, len);
+            let r0 = lag_correlation(&cx, &cy, 0, 0, len);
+            let (r1, r2) = lag_correlation_pair(&cx, &cy, 1, len - 1);
+            let (r3, r4) = lag_correlation_pair(&cx, &cy, 2, len - 2);
+            assert_eq!(c0.to_bits(), r0.to_bits(), "len {len} lag 0");
+            assert_eq!(c1.to_bits(), r1.to_bits(), "len {len} lag 1 dir 1");
+            assert_eq!(c2.to_bits(), r2.to_bits(), "len {len} lag 1 dir 2");
+            assert_eq!(c3.to_bits(), r3.to_bits(), "len {len} lag 2 dir 1");
+            assert_eq!(c4.to_bits(), r4.to_bits(), "len {len} lag 2 dir 2");
         }
     }
 
     #[test]
-    fn pair_score_is_bit_identical_across_tiers_and_batch_path() {
-        // One engine per supported dispatch tier over the same stream:
-        // every tier and both entry points (classic pair_score vs
-        // prepare + prepared) must agree bit for bit.
+    fn pair_score_is_bit_identical_to_batch_path() {
+        // Both entry points (classic pair_score vs prepare + prepared)
+        // must agree bit for bit over the same stream.
         let mut next = lcg(31);
         let series: Vec<Vec<f64>> = (0..3)
             .map(|_| (0..100).map(|_| next() * 30.0 - 15.0).collect())
             .collect();
         let mask = [true, true, true];
-        let mut reference: Option<Vec<u64>> = None;
-        for &tier in SimdTier::supported() {
-            let mut engine = IncrementalCorrelator::new(3, 1, 140).with_tier(tier);
-            assert_eq!(engine.tier(), tier);
-            feed(&mut engine, &series, 100);
-            let mut bits = Vec::new();
-            for (start, len) in [(40u64, 60usize), (70, 30)] {
-                for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
-                    let direct = engine.pair_score(a, b, 0, start, len, 5);
-                    engine.prepare_windows(0, start, len, &mask);
-                    let prepared = engine.pair_score_prepared(a, b, 0, len, 5);
-                    assert_eq!(
-                        direct.to_bits(),
-                        prepared.to_bits(),
-                        "{tier:?} ({a},{b}) window ({start},{len}): batch path diverged"
-                    );
-                    bits.push(direct.to_bits());
-                }
+        let mut engine = IncrementalCorrelator::new(3, 1, 140);
+        feed(&mut engine, &series, 100);
+        for (start, len) in [(40u64, 60usize), (70, 30)] {
+            for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
+                let direct = engine.pair_score(a, b, 0, start, len, 5);
+                engine.prepare_windows(0, start, len, &mask);
+                let prepared = engine.pair_score_prepared(a, b, 0, len, 5);
+                assert_eq!(
+                    direct.to_bits(),
+                    prepared.to_bits(),
+                    "({a},{b}) window ({start},{len}): batch path diverged"
+                );
             }
-            match &reference {
-                None => reference = Some(bits),
-                Some(want) => assert_eq!(want, &bits, "{tier:?} diverged from first tier"),
+        }
+    }
+
+    /// The lane order of `dot`, written as plainly as possible.
+    fn dot_reference(xs: &[f64], ys: &[f64]) -> f64 {
+        let blocks = xs.len() / 4;
+        let mut lanes = [0.0f64; 4];
+        for b in 0..blocks {
+            for j in 0..4 {
+                lanes[j] += xs[4 * b + j] * ys[4 * b + j];
             }
+        }
+        let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        for i in 4 * blocks..xs.len() {
+            sum += xs[i] * ys[i];
+        }
+        sum
+    }
+
+    #[test]
+    fn kernels_match_the_lane_reference_bitwise() {
+        // The kernel-level guard for the golden bytes: every block count
+        // and all four tail lengths, both kernels, to the bit.
+        let mut next = lcg(7);
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 11, 16, 29, 64, 301] {
+            let mut series = || -> Vec<f64> { (0..n).map(|_| next() * 200.0 - 100.0).collect() };
+            let (x1, y1, x2, y2) = (series(), series(), series(), series());
+            let want1 = dot_reference(&x1, &y1);
+            let want2 = dot_reference(&x2, &y2);
+            assert_eq!(dot(&x1, &y1).to_bits(), want1.to_bits(), "dot n={n}");
+            let (s1, s2) = dot2(&x1, &y1, &x2, &y2);
+            assert_eq!(s1.to_bits(), want1.to_bits(), "dot2 chain 1 n={n}");
+            assert_eq!(s2.to_bits(), want2.to_bits(), "dot2 chain 2 n={n}");
         }
     }
 

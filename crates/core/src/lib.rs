@@ -29,11 +29,9 @@
 //! semantics (primary exclusion on replica-only KPIs) enter through the
 //! participation mask of [`config::DbCatcherConfig`].
 
-// `deny` rather than `forbid` so the one sanctioned exception — the
-// `#[cfg]`-gated SIMD intrinsics in [`mod@simd`] — can scope its own
-// allowance; every other module stays unsafe-free and dbclint's
-// `no-unsafe` rule audits the sites that remain.
-#![deny(unsafe_code)]
+// No `unsafe` in core: the lag-scan dot kernels in `kcd_incremental`
+// are portable Rust with one fixed summation order on every host.
+#![forbid(unsafe_code)]
 // Index-based loops over matrix/tensor dimensions are clearer than
 // iterator chains in this numeric code.
 #![allow(clippy::needless_range_loop)]
@@ -53,7 +51,6 @@ pub mod pipeline;
 pub mod queues;
 mod queues_serde;
 pub mod scratch;
-pub mod simd;
 pub mod snapshot;
 pub mod state;
 pub mod window;
@@ -73,6 +70,5 @@ pub use kcd_incremental::IncrementalCorrelator;
 pub use levels::Level;
 pub use matrix::CorrelationMatrix;
 pub use pipeline::{ComponentTiming, DbCatcher, Verdict};
-pub use simd::SimdTier;
 pub use snapshot::{DetectorSnapshot, SnapshotSummary};
 pub use state::DbState;

@@ -16,8 +16,9 @@
 //!
 //! On startup the feed replays an existing hierarchy WAL (without
 //! flushing), so a restarted daemon resumes scope state exactly where the
-//! log left it; duplicate verdicts re-emitted by the unit-WAL replay are
-//! deduplicated inside the engine. On clean shutdown the engine is
+//! log left it, and cuts off a torn tail (a last line without its `\n`)
+//! before appending; duplicate verdicts re-emitted by the unit-WAL replay
+//! are deduplicated inside the engine. On clean shutdown the engine is
 //! flushed and the full scope-verdict history is rewritten to the
 //! configured `scope_out` file; a (simulated) crash skips both, exactly
 //! like a real kill would.
@@ -32,7 +33,7 @@ use dbcatcher_hierarchy::{
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
@@ -122,18 +123,9 @@ fn run_feed(rx: Receiver<Response>, ctx: FeedContext) {
     // continues them, keeping the final output equal to one offline
     // replay of the whole log.
     if let Some(path) = &wal_path {
-        if let Ok(file) = File::open(path) {
-            for line in BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                // Malformed lines (a torn tail write) are skipped, same
-                // as `analyze-fleet` does offline.
-                if let Ok(record) = parse_unit_line(&line) {
-                    replay.observe(record);
-                }
-            }
+        if let Err(e) = replay_journal(path, &mut replay) {
+            ctx.metrics
+                .record_shard_note(0, format!("hierarchy WAL resume: {e}"));
         }
         publish(&mut replay, &mut history, &ctx);
     }
@@ -201,6 +193,37 @@ fn run_feed(rx: Receiver<Response>, ctx: FeedContext) {
     }
 }
 
+/// Replays every newline-terminated record of the journal at `path`, then
+/// truncates the torn tail a crash mid-append leaves after the last `\n`,
+/// so the next append starts its own line instead of gluing onto the
+/// fragment. Malformed lines are skipped, as `analyze-fleet` does. A
+/// missing journal is an empty one.
+fn replay_journal(path: &Path, replay: &mut FleetReplay) -> std::io::Result<()> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    let mut reader = BufReader::new(file);
+    let mut line = Vec::new();
+    let mut complete = 0u64;
+    loop {
+        line.clear();
+        let read = reader.read_until(b'\n', &mut line)?;
+        if read == 0 {
+            return Ok(());
+        }
+        if line.last() != Some(&b'\n') {
+            break;
+        }
+        complete += read as u64;
+        if let Ok(record) = parse_unit_line(String::from_utf8_lossy(&line).trim_end()) {
+            replay.observe(record);
+        }
+    }
+    OpenOptions::new().write(true).open(path)?.set_len(complete)
+}
+
 /// Drains newly emitted scope verdicts: metrics, subscriber broadcast,
 /// history append.
 fn publish(replay: &mut FleetReplay, history: &mut Vec<ScopeVerdict>, ctx: &FeedContext) {
@@ -223,7 +246,7 @@ fn publish(replay: &mut FleetReplay, history: &mut Vec<ScopeVerdict>, ctx: &Feed
 }
 
 /// Rewrites the scope-verdict file atomically (tmp + rename).
-fn write_scope_file(path: &std::path::Path, history: &[ScopeVerdict]) -> std::io::Result<()> {
+fn write_scope_file(path: &Path, history: &[ScopeVerdict]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -239,4 +262,99 @@ fn write_scope_file(path: &std::path::Path, history: &[ScopeVerdict]) -> std::io
         writer.flush()?;
     }
     std::fs::rename(&tmp, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbcatcher_core::{DbState, Verdict};
+    use dbcatcher_hierarchy::replay;
+
+    /// An abnormal verdict of unit 0's database 0 resolving at `at_tick`.
+    fn abnormal(at_tick: u64) -> UnitVerdict {
+        UnitVerdict {
+            unit: 0,
+            at_tick,
+            verdict: Verdict {
+                db: 0,
+                start_tick: at_tick - 19,
+                end_tick: at_tick + 1,
+                state: DbState::Abnormal,
+                window_size: 20,
+                expansions: 0,
+                scores: vec![0.05, 0.05],
+            },
+        }
+    }
+
+    /// One feed incarnation over `dir`: resume from the journal there,
+    /// observe `fed`, then stop cleanly, which writes `scope.jsonl`.
+    fn run_incarnation(dir: &Path, fed: &[UnitVerdict]) {
+        let (tx, rx) = channel();
+        for record in fed {
+            tx.send(Response::Verdict {
+                unit: record.unit,
+                at_tick: record.at_tick,
+                verdict: record.verdict.clone(),
+            })
+            .expect("feed channel open");
+        }
+        drop(tx);
+        run_feed(
+            rx,
+            FeedContext {
+                options: HierarchyOptions {
+                    units_per_cluster: 1,
+                    clusters_per_region: 1,
+                    scope_out: Some(dir.join("scope.jsonl")),
+                },
+                max_units: 1,
+                wal_dir: Some(dir.to_path_buf()),
+                metrics: Arc::new(ServerMetrics::new(1, 1)),
+                subscribers: Arc::new(Mutex::new(Vec::new())),
+                crash: None,
+            },
+        );
+    }
+
+    #[test]
+    fn torn_journal_tail_does_not_swallow_the_next_verdict() {
+        let dir =
+            std::env::temp_dir().join(format!("dbcatcher_torn_journal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let journal = dir.join(HIERARCHY_WAL_FILE);
+        let kept = abnormal(20);
+        let fed = abnormal(21);
+        // A crash mid-append left half a line with no trailing newline.
+        let torn = render_unit_line(&abnormal(30));
+        std::fs::write(
+            &journal,
+            format!("{}\n{}", render_unit_line(&kept), &torn[..torn.len() / 2]),
+        )
+        .expect("seed journal");
+
+        run_incarnation(&dir, std::slice::from_ref(&fed));
+        assert_eq!(
+            std::fs::read_to_string(&journal).expect("journal"),
+            format!("{}\n{}\n", render_unit_line(&kept), render_unit_line(&fed)),
+            "the fed verdict must start its own line"
+        );
+
+        // Resume again with nothing new: the scope stream of the clean
+        // stop replays both records. Two abnormal ticks raise the alarm;
+        // the kept record alone would not.
+        run_incarnation(&dir, &[]);
+        let config = HierarchyConfig::new(Topology::new(1, 1, 1).expect("topology"));
+        let want: String = replay(config, [kept, fed])
+            .iter()
+            .map(|sv| render_scope_line(sv) + "\n")
+            .collect();
+        assert!(want.contains("\"Alarm\""), "{want}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("scope.jsonl")).expect("scope file"),
+            want
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

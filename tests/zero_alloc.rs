@@ -19,10 +19,9 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY AUDIT — one of the workspace's two sanctioned `unsafe` surfaces
-// (this file and its twin `crates/bench/benches/kcd.rs` are excluded from
-// dbclint's `no-unsafe` rule; the other surface, the SIMD intrinsics in
-// `crates/core/src/simd.rs`, stays in scope with per-site waivers).
+// SAFETY AUDIT — the workspace's one sanctioned `unsafe` surface, the
+// counting allocator (this file and its twin `crates/bench/benches/kcd.rs`
+// are excluded from dbclint's `no-unsafe` rule).
 //
 // `GlobalAlloc` is an unsafe trait because the allocator must uphold the
 // contract rustc's codegen relies on: returned pointers are valid for
