@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbcatcher_baselines::correlation::{dtw_score, pearson_score};
 use dbcatcher_core::kcd::kcd;
-use dbcatcher_core::kcd_incremental::IncrementalCorrelator;
+use dbcatcher_core::kcd_incremental::{pair_score, NormWindow};
 use dbcatcher_core::queues::KpiQueues;
 use dbcatcher_core::scratch::TickScratch;
 use dbcatcher_core::{score_batch, DbCatcher, DbCatcherConfig};
@@ -103,6 +103,26 @@ fn bench_kcd(c: &mut Criterion) {
     group.finish();
 }
 
+/// The incremental backend's share of one tick: normalise each
+/// database's trailing window of `k` ticks once, then score every pair.
+fn incremental_pairs(queues: &KpiQueues, windows: &mut [NormWindow], k: usize, m: usize) -> f64 {
+    let start = queues.next_tick() - k as u64;
+    for (db, w) in windows.iter_mut().enumerate() {
+        w.fill(
+            queues
+                .window_slice(db, 0, black_box(start), k)
+                .expect("window"),
+        );
+    }
+    let mut acc = 0.0;
+    for i in 0..windows.len() {
+        for j in (i + 1)..windows.len() {
+            acc += pair_score(&windows[i], &windows[j], m);
+        }
+    }
+    acc
+}
+
 /// One steady-state detector tick per iteration: ingest a frame, then
 /// score every database pair over the trailing window of `k` ticks —
 /// exactly the per-KPI work `aggregated_scores` does at judgement time.
@@ -137,24 +157,18 @@ fn bench_backends(c: &mut Criterion) {
             })
         });
 
-        let mut engine = IncrementalCorrelator::new(d, 1, 2 * k);
+        let mut queues = KpiQueues::new(d, 1, 2 * k);
+        let mut windows = vec![NormWindow::default(); d];
         let mut tick = 0usize;
         while tick < k {
-            engine.push(&frame_at(tick));
+            queues.push(&frame_at(tick));
             tick += 1;
         }
         group.bench_with_input(BenchmarkId::new("incremental", &label), &k, |b, _| {
             b.iter(|| {
-                engine.push(&frame_at(tick));
+                queues.push(&frame_at(tick));
                 tick += 1;
-                let start = engine.next_tick() - k as u64;
-                let mut acc = 0.0;
-                for i in 0..d {
-                    for j in (i + 1)..d {
-                        acc += engine.pair_score(i, j, 0, black_box(start), k, m);
-                    }
-                }
-                black_box(acc)
+                black_box(incremental_pairs(&queues, &mut windows, k, m))
             })
         });
     }
@@ -162,25 +176,18 @@ fn bench_backends(c: &mut Criterion) {
 }
 
 /// One full lag scan at the acceptance config (k=300, m=5): the whole
-/// prepared sweep of one pair, the kernel the correlation step repeats.
+/// sweep of one pair over two normalised windows, the kernel the
+/// correlation step repeats.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kcd_kernels");
-    let (k, m, d) = (300usize, 5usize, 2usize);
-    let data: Vec<Vec<f64>> = (0..d).map(|db| series(4 * k, db as f64 * 1.7)).collect();
-    let mut engine = IncrementalCorrelator::new(d, 1, 2 * k);
-    let mut tick = 0usize;
-    while tick < 2 * k {
-        engine.push(
-            &data
-                .iter()
-                .map(|s| vec![s[tick % s.len()]])
-                .collect::<Vec<_>>(),
-        );
-        tick += 1;
-    }
-    let start = engine.next_tick() - k as u64;
+    let (k, m) = (300usize, 5usize);
+    let mut x = NormWindow::default();
+    let mut y = NormWindow::default();
+    // samples k..2k: the trailing window of a queue filled to 2k ticks
+    x.fill(&series(2 * k, 0.0)[k..]);
+    y.fill(&series(2 * k, 1.7)[k..]);
     group.bench_with_input(BenchmarkId::new("pair_scan", k), &k, |b, _| {
-        b.iter(|| engine.pair_score(0, 1, 0, black_box(start), k, m))
+        b.iter(|| pair_score(black_box(&x), black_box(&y), m))
     });
     group.finish();
 }
@@ -300,27 +307,22 @@ fn audit_allocs(_c: &mut Criterion) {
         }
         let naive_allocs = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / MEASURE as f64;
 
-        let incremental_tick = |engine: &mut IncrementalCorrelator, frame: &[Vec<f64>]| -> f64 {
-            engine.push(frame);
-            let start = engine.next_tick() - k as u64;
-            let mut acc = 0.0;
-            for i in 0..d {
-                for j in (i + 1)..d {
-                    acc += engine.pair_score(i, j, 0, black_box(start), k, m);
-                }
-            }
-            acc
-        };
-        let mut engine = IncrementalCorrelator::new(d, 1, 2 * k);
+        let incremental_tick =
+            |queues: &mut KpiQueues, windows: &mut [NormWindow], frame: &[Vec<f64>]| -> f64 {
+                queues.push(frame);
+                incremental_pairs(queues, windows, k, m)
+            };
+        let mut queues = KpiQueues::new(d, 1, 2 * k);
+        let mut windows = vec![NormWindow::default(); d];
         for frame in &frames[..k] {
-            engine.push(frame);
+            queues.push(frame);
         }
         for frame in &frames[k..3 * k] {
-            black_box(incremental_tick(&mut engine, frame));
+            black_box(incremental_tick(&mut queues, &mut windows, frame));
         }
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for frame in &frames[3 * k..] {
-            black_box(incremental_tick(&mut engine, frame));
+            black_box(incremental_tick(&mut queues, &mut windows, frame));
         }
         let incremental_allocs =
             (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / MEASURE as f64;

@@ -269,16 +269,21 @@ fn usage_entries() -> Vec<Vec<&'static str>> {
     entries
 }
 
-/// The `--flags` that the USAGE entries of `command` list, or `None` when
-/// no entry names the command. `simulate --chaos` has its own entry, kept
-/// apart from the dataset `simulate` entries.
-fn usage_flags(command: &str, chaos: bool) -> Option<Vec<&'static str>> {
+/// The `--flags` that the USAGE entries of `command` list, each with
+/// whether it takes a value (a placeholder follows it in USAGE), or
+/// `None` when no entry names the command. `simulate --chaos` has its own
+/// entry, kept apart from the dataset `simulate` entries.
+fn usage_flags(command: &str, chaos: bool) -> Option<Vec<(&'static str, bool)>> {
     let mut flags = None;
     for words in usage_entries() {
         if words.get(1) == Some(&command) && words.contains(&"--chaos") == chaos {
-            flags
-                .get_or_insert_with(Vec::new)
-                .extend(words.into_iter().filter(|w| w.starts_with("--")));
+            let listed = flags.get_or_insert_with(Vec::new);
+            for (i, word) in words.iter().enumerate() {
+                if word.starts_with("--") {
+                    let takes_value = words.get(i + 1).is_some_and(|w| !w.starts_with("--"));
+                    listed.push((*word, takes_value));
+                }
+            }
         }
     }
     flags
@@ -303,7 +308,8 @@ fn parse_num<T: std::str::FromStr>(argv: &[String], flag: &str, default: T) -> R
 ///
 /// # Errors
 /// A human-readable message for unknown commands, flags the command's
-/// USAGE entry does not list, bad values or missing required arguments.
+/// USAGE entry does not list, value-taking flags given no value (last, or
+/// followed by another flag), bad values or missing required arguments.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some(command) = argv.first() else {
         return Err("missing command".into());
@@ -311,11 +317,17 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let rest = &argv[1..];
     let chaos = command == "simulate" && rest.iter().any(|a| a == "--chaos");
     if let Some(allowed) = usage_flags(command, chaos) {
-        if let Some(flag) = rest
-            .iter()
-            .find(|a| a.starts_with("--") && !allowed.contains(&a.as_str()))
-        {
-            return Err(format!("unknown flag for {command}: {flag}"));
+        for (i, arg) in rest.iter().enumerate() {
+            if !arg.starts_with("--") {
+                continue;
+            }
+            match allowed.iter().find(|(flag, _)| flag == arg) {
+                None => return Err(format!("unknown flag for {command}: {arg}")),
+                Some((_, true)) if rest.get(i + 1).is_none_or(|v| v.starts_with("--")) => {
+                    return Err(format!("missing value for {arg}"));
+                }
+                Some(_) => {}
+            }
         }
     }
     match command.as_str() {
@@ -795,6 +807,27 @@ mod tests {
             let err = parse(&argv(line)).unwrap_err();
             assert_eq!(err, format!("unknown flag for {}: {flag}", argv(line)[0]));
         }
+    }
+
+    #[test]
+    fn value_flags_never_swallow_the_next_flag() {
+        // `--out` must not take `--learn` as its path, and a trailing
+        // `--faults` must not fall back to its default.
+        for (line, flag) in [
+            ("detect --data ds.json --out --learn", "--out"),
+            ("detect --data ds.json --faults", "--faults"),
+            ("simulate --chaos --seed", "--seed"),
+            ("serve --listen --hierarchy", "--listen"),
+        ] {
+            assert_eq!(
+                parse(&argv(line)),
+                Err(format!("missing value for {flag}")),
+                "{line}"
+            );
+        }
+        // boolean flags take no value, wherever they stand
+        assert!(parse(&argv("detect --learn --data ds.json --learn")).is_ok());
+        assert!(parse(&argv("simulate --chaos --no-crash --no-shrink")).is_ok());
     }
 
     #[test]

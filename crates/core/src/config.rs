@@ -123,8 +123,8 @@ impl DelayScan {
 pub enum CorrelationBackend {
     /// Window copy + fresh normalisation + two-pass lag scan per pair.
     Naive,
-    /// Monotonic-deque min/max, cached normalised windows, prefix-sum
-    /// moments (default).
+    /// Each window normalised once per tick and shared by all its
+    /// pairings, prefix-sum moments (default).
     #[default]
     Incremental,
 }

@@ -6,9 +6,9 @@
 //! This module sits in front of [`crate::queues::KpiQueues`]: every
 //! incoming sample is checked for finiteness and staleness, bad samples
 //! are repaired by a configurable [`GapPolicy`] (the correlation engines
-//! must never see a non-finite value — `NaN` would corrupt the
-//! incremental engine's monotonic deques), and every repair is recorded in
-//! a per-`(db, kpi)` [`TelemetryHealth`] ledger.
+//! must never see a non-finite value — `NaN` would corrupt a window's
+//! min–max extremes and every score drawn from it), and every repair is
+//! recorded in a per-`(db, kpi)` [`TelemetryHealth`] ledger.
 //!
 //! A database whose recent frames are mostly bad is *demoted to
 //! non-voting*: it is excluded from every correlation matrix and level

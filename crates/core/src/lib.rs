@@ -66,7 +66,6 @@ pub use fleet::{score_batch, FleetVerdict};
 pub use ga::{Genes, GeneticConfig};
 pub use ingest::{GapPolicy, IngestConfig, IngestError, IngestReport, TelemetryHealth};
 pub use kcd::kcd;
-pub use kcd_incremental::IncrementalCorrelator;
 pub use levels::Level;
 pub use matrix::CorrelationMatrix;
 pub use pipeline::{ComponentTiming, DbCatcher, Verdict};

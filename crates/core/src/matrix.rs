@@ -6,13 +6,10 @@
 //! upper triangle is stored (the paper: "there is no need to save the
 //! information of the lower triangular matrix").
 
-use crate::kcd::kcd_normalized;
-use crate::scratch::TickScratch;
-use dbcatcher_signal::normalize::min_max_in_place;
 use serde::{Deserialize, Serialize};
 
 /// Symmetric N×N correlation matrix, packed upper-triangular.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CorrelationMatrix {
     n: usize,
     /// Strict upper triangle, row-major: (0,1), (0,2), …, (n-2,n-1).
@@ -24,98 +21,16 @@ impl CorrelationMatrix {
     pub fn zeros(n: usize) -> Self {
         Self {
             n,
-            // dbclint: allow(hot-path-alloc) — constructor; the per-tick path rebuilds matrices in place via from_windows_into.
+            // dbclint: allow(hot-path-alloc) — constructor; the per-tick path rebuilds matrices in place via from_pairwise_into.
             scores: vec![0.0; n * n.saturating_sub(1) / 2],
         }
     }
 
-    /// Builds the matrix for one KPI from per-database windows.
-    ///
-    /// * `windows[db]` — the KPI window of each database (equal lengths);
-    /// * `participates[db]` — Table II / unused-database mask: pairs with a
-    ///   non-participating member score 0 (paper: "all of its KPIs'
-    ///   correlation scores are set to 0");
-    /// * `max_delay` — KCD lag-scan bound.
-    ///
-    /// # Panics
-    /// Panics when `participates.len() != windows.len()` or participating
-    /// window lengths differ.
-    pub fn from_windows(windows: &[&[f64]], participates: &[bool], max_delay: usize) -> Self {
-        let mut m = Self::zeros(windows.len());
-        m.from_windows_into(windows, participates, max_delay, &mut TickScratch::new());
-        m
-    }
-
-    /// [`Self::from_windows`] rebuilding `self` in place, with every
-    /// normalised window staged in the caller's [`TickScratch`] — the
-    /// allocation-free form for per-tick matrix refreshes.
-    ///
-    /// # Panics
-    /// Same contract as [`Self::from_windows`].
-    pub fn from_windows_into(
-        &mut self,
-        windows: &[&[f64]],
-        participates: &[bool],
-        max_delay: usize,
-        scratch: &mut TickScratch,
-    ) {
-        let n = windows.len();
-        assert_eq!(participates.len(), n, "participation mask arity mismatch");
-        // Validate length agreement once up front instead of per pair
-        // inside the O(N²) scoring loop.
-        let mut expected: Option<usize> = None;
-        for (w, &p) in windows.iter().zip(participates) {
-            if !p {
-                continue;
-            }
-            match expected {
-                None => expected = Some(w.len()),
-                Some(len) => assert_eq!(w.len(), len, "KCD windows must be equally long"),
-            }
-        }
-        // Each window is normalised once, not once per pair: KCD's Eq. 1
-        // step depends only on the window itself, so the N−1 pairings of a
-        // database all share the same normalised form.
-        let normalised = &mut scratch.norm_windows;
-        // dbclint: allow(hot-path-alloc) — scratch buffers grow to unit arity once, then resize_with is a no-op.
-        normalised.resize_with(n, Vec::new);
-        for ((w, &p), buf) in windows.iter().zip(participates).zip(normalised.iter_mut()) {
-            buf.clear();
-            if p {
-                buf.extend_from_slice(w);
-                min_max_in_place(buf);
-            }
-        }
-        self.n = n;
-        self.scores.clear();
-        self.scores.resize(n * n.saturating_sub(1) / 2, 0.0);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // paper: a non-participating member zeroes the pair
-                let s = if participates[i] && participates[j] {
-                    kcd_normalized(&normalised[i], &normalised[j], max_delay)
-                } else {
-                    0.0
-                };
-                self.set(i, j, s);
-            }
-        }
-    }
-
-    /// Builds the matrix by asking `score(i, j)` for every `i < j` pair —
-    /// the hook the incremental engine uses to fill matrices from cached
-    /// state. Symmetry is supplied by the packing: each pair is evaluated
-    /// once.
-    pub fn from_pairwise(n: usize, score: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut m = Self::zeros(n);
-        m.from_pairwise_into(n, score);
-        m
-    }
-
-    /// [`Self::from_pairwise`] rebuilding `self` in place (the score
-    /// buffer keeps its capacity) — the batch scoring path's
-    /// allocation-free form: one matrix per `(kpi, window)` is filled
-    /// once per tick and shared by every judgement of the unit.
+    /// Rebuilds `self` in place (the score buffer keeps its capacity) by
+    /// asking `score(i, j)` for every `i < j` pair — the batch scoring
+    /// path's allocation-free form: one matrix per `(kpi, window)` is
+    /// filled once per tick and shared by every judgement of the unit.
+    /// Symmetry is supplied by the packing: each pair is evaluated once.
     pub fn from_pairwise_into(&mut self, n: usize, mut score: impl FnMut(usize, usize) -> f64) {
         self.n = n;
         self.scores.clear();
@@ -174,25 +89,6 @@ impl CorrelationMatrix {
         let idx = self.idx(a, b);
         self.scores[idx] = score;
     }
-
-    /// The `Search` of Algorithm 1: all scores of database `j` against its
-    /// peers, in peer order (skipping `j` itself).
-    pub fn scores_for(&self, j: usize) -> Vec<f64> {
-        (0..self.n)
-            .filter(|&i| i != j)
-            .map(|i| self.get(i, j))
-            // dbclint: allow(hot-path-alloc) — allocating convenience accessor; the per-tick path reads pair scores through get() into scratch.
-            .collect()
-    }
-
-    /// Scores of database `j` against *participating* peers only.
-    pub fn scores_for_masked(&self, j: usize, participates: &[bool]) -> Vec<f64> {
-        (0..self.n)
-            .filter(|&i| i != j && participates[i])
-            .map(|i| self.get(i, j))
-            // dbclint: allow(hot-path-alloc) — allocating convenience accessor; the per-tick path reads pair scores through get() into scratch.
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -234,90 +130,17 @@ mod tests {
     }
 
     #[test]
-    fn from_windows_correlated_unit() {
-        let base: Vec<f64> = (0..30).map(|i| (i as f64 * 0.4).sin()).collect();
-        let w1: Vec<f64> = base.iter().map(|v| v * 2.0 + 3.0).collect();
-        let w2: Vec<f64> = base.iter().map(|v| v * 0.5 - 1.0).collect();
-        let windows: Vec<&[f64]> = vec![&base, &w1, &w2];
-        let m = CorrelationMatrix::from_windows(&windows, &[true; 3], 5);
-        for i in 0..3 {
-            for j in (i + 1)..3 {
-                assert!(m.get(i, j) > 0.999, "({i},{j}) = {}", m.get(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn non_participating_database_scores_zero() {
-        let base: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let windows: Vec<&[f64]> = vec![&base, &base, &base];
-        let m = CorrelationMatrix::from_windows(&windows, &[true, false, true], 3);
-        assert_eq!(m.get(0, 1), 0.0);
-        assert_eq!(m.get(1, 2), 0.0);
-        assert!(m.get(0, 2) > 0.999);
-    }
-
-    #[test]
-    fn from_windows_into_reuses_scratch_without_changing_results() {
-        let base: Vec<f64> = (0..30).map(|i| (i as f64 * 0.4).sin()).collect();
-        let w1: Vec<f64> = base.iter().map(|v| v * 2.0 + 3.0).collect();
-        let w2: Vec<f64> = (0..30).map(|i| ((i as f64) * 0.7).cos()).collect();
-        let windows: Vec<&[f64]> = vec![&base, &w1, &w2];
-        let reference = CorrelationMatrix::from_windows(&windows, &[true; 3], 5);
-        let mut scratch = TickScratch::new();
-        let mut m = CorrelationMatrix::zeros(0);
-        for _ in 0..3 {
-            m.from_windows_into(&windows, &[true; 3], 5, &mut scratch);
-            assert_eq!(m, reference);
-        }
-        // a smaller rebuild through the same scratch shrinks cleanly
-        m.from_windows_into(&windows[..2], &[true; 2], 5, &mut scratch);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(0, 1), reference.get(0, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "equally long")]
-    fn mismatched_window_lengths_rejected_up_front() {
-        let a: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..9).map(|i| i as f64).collect();
-        let windows: Vec<&[f64]> = vec![&a, &b];
-        let _ = CorrelationMatrix::from_windows(&windows, &[true, true], 3);
-    }
-
-    #[test]
-    fn non_participating_window_length_is_ignored() {
-        // The up-front validation must not be stricter than the old
-        // per-pair assert: a masked-out window of a different length never
-        // participated in a pair, so it must not panic.
-        let a: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let short: Vec<f64> = vec![1.0, 2.0];
-        let windows: Vec<&[f64]> = vec![&a, &short, &a];
-        let m = CorrelationMatrix::from_windows(&windows, &[true, false, true], 3);
-        assert!(m.get(0, 2) > 0.999);
-        assert_eq!(m.get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn from_pairwise_evaluates_each_pair_once() {
+    fn from_pairwise_into_reuses_buffer_without_changing_results() {
+        let mut m = CorrelationMatrix::default();
         let mut calls = Vec::new();
-        let m = CorrelationMatrix::from_pairwise(4, |i, j| {
+        m.from_pairwise_into(4, |i, j| {
             calls.push((i, j));
             (i * 10 + j) as f64
         });
         assert_eq!(calls.len(), 6);
         assert!(calls.iter().all(|&(i, j)| i < j), "only upper triangle");
-        assert_eq!(m.get(1, 3), 13.0);
         assert_eq!(m.get(3, 1), 13.0, "symmetry from packing");
-    }
-
-    #[test]
-    fn from_pairwise_into_reuses_buffer_without_changing_results() {
-        let mut m = CorrelationMatrix::from_pairwise(4, |i, j| (i * 10 + j) as f64);
-        let cap = {
-            m.from_pairwise_into(4, |i, j| (i * 10 + j) as f64);
-            m.scores.capacity()
-        };
+        let cap = m.scores.capacity();
         // refill at the same and a smaller arity: results exact, no growth
         m.from_pairwise_into(4, |i, j| (i + j) as f64);
         assert_eq!(m.get(1, 3), 4.0);
@@ -326,26 +149,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(0, 1), 0.25);
         assert_eq!(m.scores.capacity(), cap);
-    }
-
-    #[test]
-    fn scores_for_excludes_self() {
-        let mut m = CorrelationMatrix::zeros(3);
-        m.set(0, 1, 0.5);
-        m.set(0, 2, 0.6);
-        m.set(1, 2, 0.7);
-        assert_eq!(m.scores_for(1), vec![0.5, 0.7]);
-        assert_eq!(m.scores_for(0), vec![0.5, 0.6]);
-    }
-
-    #[test]
-    fn scores_for_masked_filters_peers() {
-        let mut m = CorrelationMatrix::zeros(3);
-        m.set(0, 1, 0.5);
-        m.set(0, 2, 0.6);
-        m.set(1, 2, 0.7);
-        assert_eq!(m.scores_for_masked(0, &[true, false, true]), vec![0.6]);
-        assert_eq!(m.scores_for_masked(2, &[true, true, true]), vec![0.6, 0.7]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::config::{ConfigError, CorrelationBackend, DbCatcherConfig};
 use crate::ingest::{IngestError, IngestReport, TelemetryHealth};
 use crate::kcd::kcd_normalized;
-use crate::kcd_incremental::IncrementalCorrelator;
+use crate::kcd_incremental::pair_score;
 use crate::levels::{aggregate_scores, level_row};
 use crate::queues::KpiQueues;
 use crate::scratch::{BatchEntry, TickScratch};
@@ -58,8 +58,6 @@ pub struct DbCatcher {
     config: DbCatcherConfig,
     num_dbs: usize,
     queues: KpiQueues,
-    /// `Some` iff the configured backend is [`CorrelationBackend::Incremental`].
-    correlator: Option<IncrementalCorrelator>,
     trackers: Vec<WindowTracker>,
     /// Telemetry health ledger (gap repair, staleness, non-voting state).
     health: TelemetryHealth,
@@ -93,14 +91,6 @@ impl DbCatcher {
         }
         let capacity = config.max_window * 2 + config.initial_window;
         let queues = KpiQueues::new(num_dbs, config.num_kpis, capacity);
-        let correlator = match config.backend {
-            CorrelationBackend::Naive => None,
-            CorrelationBackend::Incremental => Some(IncrementalCorrelator::new(
-                num_dbs,
-                config.num_kpis,
-                capacity,
-            )),
-        };
         let trackers = (0..num_dbs)
             .map(|_| WindowTracker::new(0, config.initial_window))
             // dbclint: allow(hot-path-alloc) — one-time tracker allocation at construction.
@@ -110,7 +100,6 @@ impl DbCatcher {
             config,
             num_dbs,
             queues,
-            correlator,
             trackers,
             health,
             scratch: TickScratch::new(),
@@ -205,17 +194,10 @@ impl DbCatcher {
         window_size_sum: u64,
         verdict_count: u64,
     ) -> Self {
-        // The incremental engine is derived state: replay the retained
-        // queue samples instead of persisting it in the snapshot format.
-        let correlator = match config.backend {
-            CorrelationBackend::Naive => None,
-            CorrelationBackend::Incremental => Some(IncrementalCorrelator::from_queues(&queues)),
-        };
         Self {
             config,
             num_dbs,
             queues,
-            correlator,
             trackers,
             health,
             scratch: TickScratch::new(),
@@ -299,9 +281,9 @@ impl DbCatcher {
             }
         }
         let tick = self.queues.next_tick();
-        // Sanitize into the reusable staging buffer; the queues and the
-        // incremental engine then read it by shared borrow — on a clean
-        // steady-state tick nothing below allocates.
+        // Sanitize into the reusable staging buffer; the queues then read
+        // it by shared borrow — on a clean steady-state tick nothing below
+        // allocates.
         let tick_health = self.health.observe_into(
             frame,
             tick,
@@ -310,9 +292,6 @@ impl DbCatcher {
             &mut scratch.sanitized,
         );
         self.queues.push(&scratch.sanitized);
-        if let Some(correlator) = &mut self.correlator {
-            correlator.push(&scratch.sanitized);
-        }
         let next_tick = self.queues.next_tick();
         let mut report = IngestReport {
             repaired: tick_health.repaired,
@@ -408,19 +387,16 @@ impl DbCatcher {
     /// returned score vector (owned by the eventual [`Verdict`]) is
     /// allocated here.
     fn aggregated_scores(
-        &mut self,
+        &self,
         db: usize,
         start: u64,
         size: usize,
         scratch: &mut TickScratch,
     ) -> Result<Vec<f64>, IngestError> {
-        // Disjoint field borrows: the incremental engine needs `&mut`
-        // while config/queues/health stay shared.
         let Self {
             config,
             num_dbs,
             queues,
-            correlator,
             health,
             ..
         } = self;
@@ -449,7 +425,6 @@ impl DbCatcher {
         }));
         let usable: &[bool] = usable;
 
-        let mut correlator = correlator.as_mut();
         let max_delay = config.delay_scan.max_lag(size);
         let mut out = Vec::with_capacity(config.num_kpis);
         for kpi in 0..config.num_kpis {
@@ -467,14 +442,12 @@ impl DbCatcher {
                 out.push(f64::NAN);
                 continue;
             }
-            if let Some(engine) = correlator.as_deref_mut() {
+            if config.backend == CorrelationBackend::Incremental {
                 // Batched fast path: all of this tick's judgements over
-                // one `(kpi, window)` share a pooled score matrix. The
-                // lag-scan setup — window-bound checks and normalised-
-                // cache refresh — is hoisted once per matrix
-                // (`prepare_windows`), and each pair then runs the
-                // read-only kernel sweep (`pair_score_prepared`) at most
-                // once per tick via the lazy row fill.
+                // one `(kpi, window)` share a pooled entry. Its miss
+                // normalises each participating database's window once,
+                // and each pair then runs the kernel sweep at most once
+                // per tick via the lazy row fill.
                 let key = (kpi, start, size);
                 let idx = match (0..*batch_used).find(|&i| batch[i].key == key) {
                     Some(i) => i,
@@ -485,7 +458,6 @@ impl DbCatcher {
                             batch.push(BatchEntry::default());
                         }
                         let i = *batch_used;
-                        *batch_used += 1;
                         let entry = &mut batch[i];
                         entry.key = key;
                         entry.mask.clear();
@@ -493,19 +465,35 @@ impl DbCatcher {
                         entry.rows.clear();
                         entry.rows.resize(num_dbs, false);
                         entry.matrix.from_pairwise_into(num_dbs, |_, _| 0.0);
+                        if entry.windows.len() < num_dbs {
+                            entry.windows.resize_with(num_dbs, Default::default);
+                        }
+                        for d in 0..num_dbs {
+                            if entry.mask[d] {
+                                let w = queues.window_slice(d, kpi, start, size).ok_or(
+                                    IngestError::WindowUnavailable {
+                                        db: d,
+                                        kpi,
+                                        start,
+                                        len: size,
+                                    },
+                                )?;
+                                entry.windows[d].fill(w);
+                            }
+                        }
+                        // Live only once filled: a refused window leaves
+                        // the slot on the free list.
+                        *batch_used += 1;
                         i
                     }
                 };
-                // Refresh the engine's per-series window caches for this
-                // entry even on a pool hit: the cache is one window per
-                // `(db, kpi)`, so a *different* window of the same KPI
-                // judged earlier this tick repoints it. Re-preparing is a
-                // no-op validity sweep when nothing changed.
-                engine.prepare_windows(kpi, start, size, &batch[idx].mask);
                 let BatchEntry {
-                    matrix, mask, rows, ..
+                    matrix,
+                    mask,
+                    rows,
+                    windows,
+                    ..
                 } = &mut batch[idx];
-                let engine = &*engine;
                 if !rows[db] {
                     rows[db] = true;
                     for peer in 0..num_dbs {
@@ -515,7 +503,7 @@ impl DbCatcher {
                             matrix.set(
                                 db,
                                 peer,
-                                engine.pair_score_prepared(db, peer, kpi, size, max_delay),
+                                pair_score(&windows[db], &windows[peer], max_delay),
                             );
                         }
                     }

@@ -18,7 +18,14 @@
 //! After a short warmup (capacities grow to the unit's steady shape) the
 //! arena makes the non-judging `ingest_tick` path allocation-free; the
 //! counting-allocator harness in `tests/zero_alloc.rs` pins that budget.
+//!
+//! The arena also holds the default backend's normalised windows (one per
+//! participating database per pooled batch entry). They are rebuilt from
+//! the queues whenever an entry is claimed, so a detector keeps no copy
+//! of its samples beyond [`crate::queues::KpiQueues`], and the arena's
+//! size follows the widest tick it served, not the unit's retention.
 
+use crate::kcd_incremental::NormWindow;
 use crate::matrix::CorrelationMatrix;
 use std::collections::HashMap;
 
@@ -40,14 +47,11 @@ pub struct TickScratch {
     pub(crate) peer_norm: Vec<f64>,
     /// Per-KPI peer scores awaiting aggregation.
     pub(crate) pair_scores: Vec<f64>,
-    /// Per-database normalised windows for whole-matrix construction
-    /// ([`crate::matrix::CorrelationMatrix::from_windows_into`]).
-    pub(crate) norm_windows: Vec<Vec<f64>>,
     /// Symmetric pair-score memo shared by every judgement within one
     /// tick (naive backend); cleared (capacity kept) at the start of
     /// each tick.
     pub(crate) pair_cache: HashMap<PairKey, f64>,
-    /// Incremental backend: pooled batch matrices, one per distinct
+    /// Incremental backend: pooled batch entries, one per distinct
     /// `(kpi, window)` judged this tick. Entries past `batch_used` are
     /// free-list slots whose inner buffers keep their capacity, so the
     /// pool stops allocating once it has grown to the unit's widest tick
@@ -65,10 +69,11 @@ impl TickScratch {
     }
 }
 
-/// One pooled batch matrix: the pairwise scores of every participating
-/// database for one `(kpi, window start, window size)`, filled once per
-/// tick and read by all of the unit's judgements over that window.
-#[derive(Debug, Clone)]
+/// One pooled batch entry: the normalised windows and pairwise scores of
+/// every participating database for one `(kpi, window start, window
+/// size)`, filled once per tick and read by all of the unit's judgements
+/// over that window.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BatchEntry {
     /// `(kpi, window start, window size)` the matrix was filled for.
     pub(crate) key: (usize, u64, usize),
@@ -81,15 +86,10 @@ pub(crate) struct BatchEntry {
     /// row is already present (the symmetric entry exists), so each pair
     /// is scored at most once per tick.
     pub(crate) rows: Vec<bool>,
-}
-
-impl Default for BatchEntry {
-    fn default() -> Self {
-        Self {
-            key: (0, 0, 0),
-            matrix: CorrelationMatrix::zeros(0),
-            mask: Vec::new(), // dbclint: allow(hot-path-alloc) — empty free-list slot; buffers grow once, then the pool reuses them
-            rows: Vec::new(), // dbclint: allow(hot-path-alloc) — empty free-list slot; buffers grow once, then the pool reuses them
-        }
-    }
+    /// `windows[db]` — `db`'s normalised window, filled from the queues
+    /// when the entry is claimed, for every database in `mask`. Each
+    /// entry owns its windows, so two windows of one KPI judged in the
+    /// same tick never share a buffer. May be longer than the unit's
+    /// database count after serving a wider unit.
+    pub(crate) windows: Vec<NormWindow>,
 }

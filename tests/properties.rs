@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the cross-crate invariants.
 
 use dbcatcher::core::kcd::kcd;
-use dbcatcher::core::kcd_incremental::IncrementalCorrelator;
+use dbcatcher::core::kcd_incremental::{pair_score, NormWindow};
 use dbcatcher::core::levels::{level_row, score_to_level, Level};
 use dbcatcher::core::queues::KpiQueues;
 use dbcatcher::core::state::{determine_state, DbState};
@@ -103,18 +103,16 @@ proptest! {
         seed in 0u64..1000,
         m in 0usize..6,
     ) {
-        let n = x.len();
         // derive a second stream deterministically from the first
         let y: Vec<f64> = x
             .iter()
             .enumerate()
             .map(|(i, v)| (v * 0.7).sin() * 100.0 + ((seed + i as u64) % 13) as f64)
             .collect();
-        let mut engine = IncrementalCorrelator::new(2, 1, n.max(2));
-        for t in 0..n {
-            engine.push(&[vec![x[t]], vec![y[t]]]);
-        }
-        let fast = engine.pair_score(0, 1, 0, 0, n, m);
+        let (mut wx, mut wy) = (NormWindow::default(), NormWindow::default());
+        wx.fill(&x);
+        wy.fill(&y);
+        let fast = pair_score(&wx, &wy, m);
         let slow = kcd(&x, &y, m);
         prop_assert!((fast - slow).abs() < 1e-9, "{fast} vs {slow}");
     }

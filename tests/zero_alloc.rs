@@ -1,23 +1,35 @@
 //! Counting-allocator harness pinning the hot-path heap budget.
 //!
-//! The detection hot path (flat queues + scratch arenas + preallocated
-//! incremental state) is designed to stop allocating once warm: after the
-//! buffers have grown to the unit's steady shape, a **non-judging**
-//! `ingest_tick` must perform **zero** heap allocations. Judging ticks are
-//! allowed to allocate — they build `Verdict` values the caller keeps.
+//! The detection hot path (flat queues + scratch arenas holding the
+//! pooled normalised windows) is designed to stop allocating once warm:
+//! after the buffers have grown to the unit's steady shape, a
+//! **non-judging** `ingest_tick` must perform **zero** heap allocations.
+//! Judging ticks are allowed to allocate — they build `Verdict` values
+//! the caller keeps.
+//!
+//! The second budget is size, not count: the queues are a detector's only
+//! copy of its samples, so a default-config detector may hold at most
+//! 1.2× its `KpiQueues` slab, fresh and after serving ticks through a
+//! separate arena.
 //!
 //! The allocator below wraps `System` and counts every `alloc` /
 //! `realloc` / `alloc_zeroed` in this test binary (integration tests link
-//! their own binaries, so the counter never sees other suites).
+//! their own binaries, so the counter never sees other suites), and keeps
+//! a running total of live heap bytes. Both counters are process-wide, so
+//! the tests take [`SERIAL`] and never overlap.
 
 use dbcatcher::core::config::{CorrelationBackend, DbCatcherConfig, DelayScan};
 use dbcatcher::core::pipeline::DbCatcher;
+use dbcatcher::core::scratch::TickScratch;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 // SAFETY AUDIT — the workspace's one sanctioned `unsafe` surface, the
 // counting allocator (this file and its twin `crates/bench/benches/kcd.rs`
@@ -28,27 +40,42 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 // `layout`, dealloc/realloc are only reached with pointers this allocator
 // handed out, and no unwinding crosses the allocator boundary. This impl
 // delegates every operation verbatim to `std::alloc::System` — the same
-// allocator the program would use anyway — and only increments a relaxed
-// atomic counter on the side. The counter cannot unwind, allocate, or
-// touch the pointer, so the entire safety obligation is inherited from
-// `System`, which upholds it by definition.
+// allocator the program would use anyway — and only updates relaxed
+// atomic counters on the side. The counters cannot unwind or allocate,
+// and they never dereference a pointer (a null check compares its
+// value), so the entire safety obligation is inherited from `System`,
+// which upholds it by definition.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        // on failure the old block stays allocated at its old size
+        if !moved.is_null() {
+            LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -58,6 +85,17 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Holds the counters for one test; a failed test must not wedge the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Healthy, correlated telemetry: every database follows the same
@@ -78,6 +116,7 @@ fn fill_frame(frame: &mut [Vec<f64>], kpis: usize, t: u64) {
 
 #[test]
 fn steady_state_tick_allocates_nothing() {
+    let _serial = serial();
     let dbs = 4usize;
     let kpis = 6usize;
     let config = DbCatcherConfig {
@@ -124,4 +163,62 @@ fn steady_state_tick_allocates_nothing() {
         "only {quiet_ticks} quiet ticks measured"
     );
     assert!(judging_ticks > 0, "windows never resolved — bad fixture");
+}
+
+/// Heap bytes held by a default-config detector of `dbs` databases, as
+/// `(fresh, after 400 ticks)`. The ticks run through
+/// `try_ingest_tick_with` with a separate arena, dropped before the
+/// second reading, so only the detector's own state is measured.
+fn detector_heap(dbs: usize) -> (i64, i64) {
+    let config = DbCatcherConfig::default();
+    let kpis = config.num_kpis;
+    let mut frame: Vec<Vec<f64>> = (0..dbs).map(|_| Vec::with_capacity(kpis)).collect();
+    let mut scratch = TickScratch::new();
+    let before = live_bytes();
+    let mut catcher = DbCatcher::try_new(config, dbs).expect("default config is valid");
+    let fresh = live_bytes() - before;
+    let mut verdicts = 0usize;
+    for t in 0..400 {
+        fill_frame(&mut frame, kpis, t);
+        verdicts += catcher
+            .try_ingest_tick_with(&frame, &mut scratch)
+            .expect("healthy frame accepted")
+            .verdicts
+            .len();
+    }
+    assert!(verdicts > 0, "windows never resolved — bad fixture");
+    drop(scratch);
+    let served = live_bytes() - before;
+    drop(catcher);
+    (fresh, served)
+}
+
+/// `KpiQueues` slab of a default-config unit: `dbs·kpis` series of
+/// `2·capacity` samples, where the retention `capacity` is two maximum
+/// windows plus an initial one.
+fn queue_slab_bytes(dbs: usize) -> i64 {
+    let config = DbCatcherConfig::default();
+    let capacity = config.max_window * 2 + config.initial_window;
+    (dbs * config.num_kpis * 2 * capacity * std::mem::size_of::<f64>()) as i64
+}
+
+#[test]
+fn detector_heap_stays_within_the_queue_slab() {
+    let _serial = serial();
+    for (dbs, budget) in [(5usize, 188_160i64), (16, 602_112)] {
+        assert_eq!(
+            queue_slab_bytes(dbs) * 6 / 5,
+            budget,
+            "{dbs} DBs: default config moved; re-derive the budget"
+        );
+        let (fresh, served) = detector_heap(dbs);
+        assert!(
+            fresh <= budget,
+            "{dbs} DBs: a fresh detector holds {fresh} B, budget {budget} B"
+        );
+        assert!(
+            served <= budget,
+            "{dbs} DBs: after 400 ticks the detector holds {served} B, budget {budget} B"
+        );
+    }
 }
