@@ -17,15 +17,6 @@ pub struct CorrelationMatrix {
 }
 
 impl CorrelationMatrix {
-    /// An identity-like matrix (all off-diagonal scores zero).
-    pub fn zeros(n: usize) -> Self {
-        Self {
-            n,
-            // dbclint: allow(hot-path-alloc) — constructor; the per-tick path rebuilds matrices in place via from_pairwise_into.
-            scores: vec![0.0; n * n.saturating_sub(1) / 2],
-        }
-    }
-
     /// Rebuilds `self` in place (the score buffer keeps its capacity) by
     /// asking `score(i, j)` for every `i < j` pair — the batch scoring
     /// path's allocation-free form: one matrix per `(kpi, window)` is
@@ -95,9 +86,16 @@ impl CorrelationMatrix {
 mod tests {
     use super::*;
 
+    /// An identity-like matrix (all off-diagonal scores zero).
+    fn zeros(n: usize) -> CorrelationMatrix {
+        let mut m = CorrelationMatrix::default();
+        m.from_pairwise_into(n, |_, _| 0.0);
+        m
+    }
+
     #[test]
     fn packing_round_trips() {
-        let mut m = CorrelationMatrix::zeros(4);
+        let mut m = zeros(4);
         let mut v = 0.1;
         for i in 0..4 {
             for j in (i + 1)..4 {
@@ -117,7 +115,7 @@ mod tests {
 
     #[test]
     fn diagonal_is_one() {
-        let m = CorrelationMatrix::zeros(3);
+        let m = zeros(3);
         for i in 0..3 {
             assert_eq!(m.get(i, i), 1.0);
         }
@@ -125,7 +123,7 @@ mod tests {
 
     #[test]
     fn storage_is_triangular() {
-        let m = CorrelationMatrix::zeros(5);
+        let m = zeros(5);
         assert_eq!(m.scores.len(), 10); // 5*4/2
     }
 
@@ -154,20 +152,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "diagonal")]
     fn set_diagonal_panics() {
-        let mut m = CorrelationMatrix::zeros(2);
+        let mut m = zeros(2);
         m.set(1, 1, 0.3);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
-        let m = CorrelationMatrix::zeros(2);
+        let m = zeros(2);
         let _ = m.get(0, 5);
     }
 
     #[test]
     fn empty_matrix() {
-        let m = CorrelationMatrix::zeros(0);
+        let m = zeros(0);
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
     }

@@ -40,6 +40,7 @@ mod shard;
 pub(crate) mod supervisor;
 pub(crate) mod sync;
 pub mod wal;
+mod wire;
 
 pub use client::{
     emit, emit_surviving, fetch_stats, reset_unit, send_stop, EmitOptions, EmitReport, Subscriber,

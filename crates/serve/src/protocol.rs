@@ -35,8 +35,10 @@
 use dbcatcher_core::pipeline::Verdict;
 use dbcatcher_hierarchy::ScopeVerdict;
 use serde::{Deserialize, Serialize};
+use std::io::Write;
 
 use crate::metrics::MetricsSnapshot;
+use crate::wire;
 
 /// Hard cap on one wire line, bounding per-connection memory. A frame of
 /// 64 databases x 64 KPIs is ~100 KiB of JSON; 1 MiB leaves generous room.
@@ -222,13 +224,39 @@ pub fn encode<T: Serialize>(message: &T) -> String {
     })
 }
 
-/// Decodes one request line.
+/// Writes one response as a wire line: the bytes of [`encode`] and a
+/// newline. `Accepted` and `Verdict`, the per-tick replies, are written
+/// straight into `out` without an intermediate `String`; every other
+/// variant goes through [`encode`].
+///
+/// # Errors
+/// Propagates the writer's I/O errors.
+pub fn write_response(response: &Response, out: &mut impl Write) -> std::io::Result<()> {
+    match response {
+        Response::Accepted { unit, tick } => wire::write_accepted(out, *unit, *tick),
+        Response::Verdict {
+            unit,
+            at_tick,
+            verdict,
+        } => wire::write_verdict(out, *unit, *at_tick, verdict),
+        other => writeln!(out, "{}", encode(other)),
+    }
+}
+
+/// Decodes one request line. A `Tick` line in the shape [`encode`]
+/// writes is scanned without the generic JSON tree; any other line, or
+/// any deviation from that shape, takes the generic path, which decides
+/// exactly as it would alone.
 ///
 /// # Errors
 /// [`ProtocolError::Oversized`] past [`MAX_LINE_BYTES`],
 /// [`ProtocolError::Malformed`] for anything `serde_json` rejects.
 pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
-    decode(line)
+    let text = bounded(line)?;
+    match wire::decode_tick(text) {
+        Some(tick) => Ok(tick),
+        None => parse(text),
+    }
 }
 
 /// Decodes one response line.
@@ -236,16 +264,21 @@ pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
 /// # Errors
 /// Same conditions as [`decode_request`].
 pub fn decode_response(line: &str) -> Result<Response, ProtocolError> {
-    decode(line)
+    parse(bounded(line)?)
 }
 
-fn decode<T: Deserialize>(line: &str) -> Result<T, ProtocolError> {
+/// The line without its trailing whitespace, once its length is checked.
+fn bounded(line: &str) -> Result<&str, ProtocolError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(ProtocolError::Oversized {
             max: MAX_LINE_BYTES,
         });
     }
-    serde_json::from_str(line.trim_end()).map_err(|e| ProtocolError::Malformed {
+    Ok(line.trim_end())
+}
+
+fn parse<T: Deserialize>(text: &str) -> Result<T, ProtocolError> {
+    serde_json::from_str(text).map_err(|e| ProtocolError::Malformed {
         detail: e.to_string(),
     })
 }

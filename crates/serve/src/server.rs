@@ -326,21 +326,24 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
     };
     let (tx, rx) = channel::<Response>();
     // Writer thread: serialises every outbound message (reader acks and
-    // shard verdicts alike) onto the socket. Exits when all senders drop
-    // or the peer goes away.
+    // shard verdicts alike) onto the socket, one flush per burst: it
+    // blocks for the first message, buffers whatever else is already
+    // queued, and flushes once the channel is empty. Exits when all
+    // senders drop or the peer goes away.
     std::thread::Builder::new()
         .name("dbcatcher-conn-writer".into())
         .spawn(move || {
             let mut writer = BufWriter::new(write_half);
-            while let Ok(response) = rx.recv() {
-                let line = protocol::encode(&response);
-                if writer
-                    .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
+            while let Ok(first) = rx.recv() {
+                let mut next = Some(first);
+                while let Some(response) = next {
+                    if protocol::write_response(&response, &mut writer).is_err() {
+                        return;
+                    }
+                    next = rx.try_recv().ok();
+                }
+                if writer.flush().is_err() {
+                    return;
                 }
             }
         })
@@ -384,12 +387,17 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
         if !complete {
             continue; // timeout mid-line; keep accumulating
         }
-        let line = String::from_utf8_lossy(&buf).into_owned();
+        let decoded = {
+            // Borrows the buffer in place; only a line with invalid
+            // UTF-8 is copied, with replacement characters.
+            let line = String::from_utf8_lossy(&buf);
+            (!line.trim().is_empty()).then(|| protocol::decode_request(&line))
+        };
         buf.clear();
-        if line.trim().is_empty() {
+        let Some(decoded) = decoded else {
             continue;
-        }
-        match protocol::decode_request(&line) {
+        };
+        match decoded {
             Ok(request) => {
                 let stop = matches!(request, Request::Stop);
                 dispatch(request, &tx, &ctx);
@@ -585,8 +593,8 @@ fn handle_tick_request(
                 Response::Accepted { unit, tick }
             }
             Err(()) => {
-                // Shard channel full: release the reservation and report
-                // backpressure just like a full unit queue.
+                // Shard generation gone mid-swap: release the reservation
+                // and report backpressure just like a full unit queue.
                 ctx.metrics.release_slot(unit);
                 ctx.metrics.record_reject(unit, true);
                 Response::Rejected {

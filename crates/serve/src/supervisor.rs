@@ -32,7 +32,7 @@ use crate::server::ServerHandle;
 use crate::shard::{build_seed, run_worker, Job, Registry, ShardBeat, ShardContext, UnitHealth};
 use crate::sync::LockRecover;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 /// Monitor poll cadence.
 const MONITOR_POLL: Duration = Duration::from_millis(25);
 
-/// How long control-plane jobs (`Hello`/`Flush`/`Reset`/`Stop`) keep
-/// retrying a full or mid-swap shard channel before giving up.
+/// How long control-plane jobs (`Hello`/`Flush`/`Reset`) keep retrying
+/// a mid-swap shard channel before giving up.
 const SEND_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How long a clean shutdown waits for a worker before fencing and
@@ -57,7 +57,7 @@ struct WorkerCell {
 
 /// One shard's seat: whatever generation currently owns the shard.
 struct Seat {
-    sender: Mutex<SyncSender<Job>>,
+    sender: Mutex<Sender<Job>>,
     beat: Arc<ShardBeat>,
     cell: Mutex<Option<WorkerCell>>,
     restarts: AtomicU32,
@@ -67,6 +67,10 @@ struct Seat {
 
 pub(crate) struct ShardSupervisor {
     shards: usize,
+    /// Jobs a shard may hold at once: `units_per_shard × queue_cap` tick
+    /// slots plus control-plane headroom. The per-unit slot reservation
+    /// enforces it, so the job channel itself is unbounded; this is only
+    /// the scale of the backpressure retry hint.
     channel_cap: usize,
     restart_limit: u32,
     wedge_timeout: Duration,
@@ -95,20 +99,11 @@ impl ShardSupervisor {
         factory: impl Fn(usize, Arc<ShardBeat>, Arc<AtomicBool>) -> ShardContext + Send + Sync + 'static,
     ) -> Arc<Self> {
         let factory: Factory = Box::new(factory);
-        // Headroom so per-unit queue caps, not the shared shard channel,
-        // are what normally trip backpressure.
         let channel_cap = max_units.div_ceil(shards) * queue_cap + 8;
         let mut seats = Vec::with_capacity(shards);
         for shard in 0..shards {
             let beat = Arc::new(ShardBeat::default());
-            let (sender, cell) = Self::launch(
-                &factory,
-                shard,
-                shards,
-                channel_cap,
-                Arc::clone(&beat),
-                false,
-            );
+            let (sender, cell) = Self::launch(&factory, shard, shards, Arc::clone(&beat), false);
             seats.push(Seat {
                 sender: Mutex::new(sender),
                 beat,
@@ -147,14 +142,13 @@ impl ShardSupervisor {
         factory: &Factory,
         shard: usize,
         shards: usize,
-        channel_cap: usize,
         beat: Arc<ShardBeat>,
         revive: bool,
-    ) -> (SyncSender<Job>, WorkerCell) {
+    ) -> (Sender<Job>, WorkerCell) {
         let fence = Arc::new(AtomicBool::new(false));
         let ctx = factory(shard, beat, Arc::clone(&fence));
         let seed = build_seed(&ctx, shards, revive);
-        let (sender, receiver) = sync_channel(channel_cap);
+        let (sender, receiver) = channel();
         let handle = std::thread::Builder::new()
             .name(format!("dbcatcher-shard-{shard}"))
             .spawn(move || run_worker(ctx, receiver, seed))
@@ -184,13 +178,14 @@ impl ShardSupervisor {
         ((base * backlog) / self.channel_cap as u64).clamp(1, base.max(1))
     }
 
-    /// Enqueues a tick job without blocking; the caller maps failure to
-    /// a backpressure rejection.
+    /// Enqueues a tick job without blocking; it fails only while a dead
+    /// generation's channel is being swapped out, and the caller maps
+    /// that to a backpressure rejection.
     pub fn try_send_tick(&self, unit: usize, job: Job) -> Result<(), ()> {
         let seat = self.seat(unit);
         let result = {
             let sender = seat.sender.lock_clean();
-            sender.try_send(job)
+            sender.send(job)
         };
         match result {
             Ok(()) => {
@@ -201,8 +196,8 @@ impl ShardSupervisor {
         }
     }
 
-    /// Enqueues a control-plane job, retrying across full channels and
-    /// generation swaps for up to [`SEND_DEADLINE`].
+    /// Enqueues a control-plane job, retrying across generation swaps for
+    /// up to [`SEND_DEADLINE`].
     pub fn send(&self, unit: usize, job: Job) -> Result<(), ()> {
         let seat = self.seat(unit);
         let deadline = Instant::now() + SEND_DEADLINE;
@@ -213,14 +208,14 @@ impl ShardSupervisor {
             }
             let result = {
                 let sender = seat.sender.lock_clean();
-                sender.try_send(job)
+                sender.send(job)
             };
             match result {
                 Ok(()) => {
                     seat.beat.note_enqueued();
                     return Ok(());
                 }
-                Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => job = j,
+                Err(returned) => job = returned.0,
             }
             if Instant::now() >= deadline {
                 return Err(());
@@ -326,7 +321,6 @@ impl ShardSupervisor {
             &self.factory,
             shard,
             self.shards,
-            self.channel_cap,
             Arc::clone(&seat.beat),
             true,
         );
@@ -349,18 +343,8 @@ impl ShardSupervisor {
             let _ = monitor.join();
         }
         for seat in &self.seats {
-            let deadline = Instant::now() + SEND_DEADLINE;
-            loop {
-                let result = {
-                    let sender = seat.sender.lock_clean();
-                    sender.try_send(Job::Stop)
-                };
-                match result {
-                    Ok(()) | Err(TrySendError::Disconnected(_)) => break,
-                    Err(TrySendError::Full(_)) if Instant::now() >= deadline => break,
-                    Err(TrySendError::Full(_)) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
+            // A disconnected channel means the generation is already gone.
+            let _ = seat.sender.lock_clean().send(Job::Stop);
         }
         for seat in &self.seats {
             let Some(cell) = seat.cell.lock_clean().take() else {

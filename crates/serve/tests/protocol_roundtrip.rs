@@ -8,8 +8,8 @@ use dbcatcher_core::state::DbState;
 use dbcatcher_hierarchy::{IncidentClass, Scope, ScopeState, ScopeVerdict};
 use dbcatcher_serve::metrics::{MetricsSnapshot, ShardStatus, UnitMetrics};
 use dbcatcher_serve::protocol::{
-    decode_request, decode_response, encode, ProtocolError, RejectReason, Request, Response,
-    MAX_LINE_BYTES,
+    decode_request, decode_response, encode, write_response, ProtocolError, RejectReason, Request,
+    Response, MAX_LINE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -236,6 +236,280 @@ proptest! {
         if let Err(e) = decode_request(&garbage) {
             assert!(matches!(e, ProtocolError::Malformed { .. } | ProtocolError::Oversized { .. }));
         }
+    }
+}
+
+/// Samples the wire must carry bit for bit: signed zeros, subnormals,
+/// whole numbers, integers past 2^53 and the non-finite values that
+/// travel as `null`.
+const SPECIAL_SAMPLES: &[f64] = &[
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    -2.225_073_858_507_201e-308,
+    1.0,
+    -7.0,
+    250.0,
+    1e21,
+    9_007_199_254_740_993.0,
+    f64::MAX,
+    f64::MIN_POSITIVE,
+    0.1,
+    -1e-7,
+];
+
+/// Tokens swapped in for a sample, a unit or a tick: every one of them
+/// either parses the same through both decode paths or fails the same.
+const ODD_TOKENS: &[&str] = &[
+    "null",
+    "-0",
+    "-0.0",
+    "1e400",
+    "-1e-400",
+    "+1",
+    "01",
+    ".5",
+    "1.",
+    "inf",
+    "NaN",
+    "-",
+    "",
+    "infinity",
+    "-inf",
+    "1e",
+    "1E3",
+    "--1",
+    "1-2",
+    "nul",
+    "nullx",
+    "true",
+    "\"1\"",
+    "[1]",
+    "9223372036854775808",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "0x10",
+    "1_0",
+    "\u{661}",
+    "1 ",
+    " 1",
+];
+
+const WHITESPACE: &[&str] = &[" ", "\t", "\n", "\r", "\u{a0}", "\u{2028}", " \r\n"];
+
+/// Renders a canonical Tick line from its tokens (`encode`'s shape).
+fn tick_line(unit: &str, tick: &str, rows: &[Vec<String>]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| format!("[{}]", row.join(",")))
+        .collect();
+    format!(
+        "{{\"Tick\":{{\"unit\":{unit},\"tick\":{tick},\"frame\":[{}]}}}}",
+        rows.join(",")
+    )
+}
+
+/// `decode_request` must agree with the generic parser on `line`: the
+/// same message with the same float bits, or the same error.
+fn assert_decodes_like_generic(line: &str) {
+    let fast = decode_request(line);
+    let generic = serde_json::from_str::<Request>(line.trim_end());
+    match (&fast, &generic) {
+        (
+            Ok(Request::Tick { unit, tick, frame }),
+            Ok(Request::Tick {
+                unit: unit_g,
+                tick: tick_g,
+                frame: frame_g,
+            }),
+        ) => {
+            assert_eq!((unit, tick), (unit_g, tick_g), "{line:?}");
+            let bits = |f: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+                f.iter()
+                    .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(frame), bits(frame_g), "{line:?}");
+        }
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{line:?}"),
+        (Err(ProtocolError::Malformed { detail }), Err(e)) => {
+            assert_eq!(detail, &e.to_string(), "{line:?}");
+        }
+        _ => panic!("{line:?}: decode_request {fast:?}, generic {generic:?}"),
+    }
+}
+
+proptest! {
+    /// The Tick scanner inside `decode_request` decodes exactly what the
+    /// generic parser decodes: canonical lines, perturbed tokens,
+    /// inserted whitespace, reordered or extra keys, other variants and
+    /// truncations alike.
+    #[test]
+    fn tick_decode_matches_generic_parser(
+        unit in 0usize..100_000,
+        tick in 0u64..u64::MAX,
+        rows in 0usize..7,
+        cols in 0usize..6,
+        plain in prop::collection::vec(-1e6f64..1e6, 36..37),
+        specials in prop::collection::vec(0usize..2 * SPECIAL_SAMPLES.len(), 36..37),
+        perturbation in 0usize..8,
+        pick in 0usize..10_000,
+        at in 0.0f64..1.0,
+    ) {
+        let frame: Vec<Vec<f64>> = (0..rows)
+            .map(|r| {
+                (0..cols)
+                    .map(|c| {
+                        let i = r * cols + c;
+                        SPECIAL_SAMPLES.get(specials[i]).copied().unwrap_or(plain[i])
+                    })
+                    .collect()
+            })
+            .collect();
+        let canonical = encode(&Request::Tick { unit, tick, frame: frame.clone() });
+        let mut tokens: Vec<Vec<String>> = frame
+            .iter()
+            .map(|row| row.iter().map(|v| serde_json::to_string(v).unwrap()).collect())
+            .collect();
+        let (unit_text, tick_text) = (unit.to_string(), tick.to_string());
+        prop_assert_eq!(&tick_line(&unit_text, &tick_text, &tokens), &canonical);
+        let odd = ODD_TOKENS[pick % ODD_TOKENS.len()];
+        let line = match perturbation {
+            0 => canonical.clone() + WHITESPACE[pick % WHITESPACE.len()],
+            1 if rows * cols > 0 => {
+                tokens[pick % rows][pick % cols] = odd.to_string();
+                tick_line(&unit_text, &tick_text, &tokens)
+            }
+            2 => tick_line(odd, &tick_text, &tokens),
+            3 => tick_line(&unit_text, odd, &tokens),
+            4 => {
+                let mut cut = (canonical.len() as f64 * at) as usize;
+                while !canonical.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                let mut line = canonical.clone();
+                line.insert_str(cut, WHITESPACE[pick % WHITESPACE.len()]);
+                line
+            }
+            5 => {
+                let fields = [
+                    format!("\"unit\":{unit_text}"),
+                    format!("\"tick\":{tick_text}"),
+                    format!("\"frame\":{}", &canonical[canonical.find('[').unwrap()..canonical.len() - 2]),
+                    "\"unit\":0".to_string(),
+                    "\"extra\":[1,{\"a\":null}]".to_string(),
+                ];
+                let orders: [&[usize]; 8] = [
+                    &[1, 0, 2],
+                    &[2, 1, 0],
+                    &[0, 2, 1],
+                    &[0, 1, 2, 4],
+                    &[4, 0, 1, 2],
+                    &[0, 1, 2, 3],
+                    &[0, 1],
+                    &[0, 0, 1, 2],
+                ];
+                let order = orders[pick % orders.len()];
+                let body: Vec<&str> = order.iter().map(|&i| fields[i].as_str()).collect();
+                format!("{{\"Tick\":{{{}}}}}", body.join(","))
+            }
+            6 => {
+                let cut = ((canonical.len() as f64 * at) as usize).min(canonical.len() - 1);
+                canonical[..cut].to_string()
+            }
+            _ => {
+                let others = [
+                    canonical.replacen("Tick", "Tock", 1),
+                    canonical.replacen("{\"Tick\":", "{\"Tick\" :", 1),
+                    canonical.replacen("\"unit\"", "\"\\u0075nit\"", 1),
+                    canonical.replacen("[[", "[ [", 1),
+                    format!("{canonical}}}"),
+                    format!("[{canonical}]"),
+                    format!("{canonical} x"),
+                    encode(&Request::Flush { unit }),
+                    encode(&Request::Hello { unit, dbs: rows, kpis: cols, participation: None }),
+                    canonical.replacen("]]", "]],[]]", 1),
+                ];
+                others[pick % others.len()].clone()
+            }
+        };
+        assert_decodes_like_generic(&line);
+    }
+
+    /// `write_response` writes the bytes of `encode` plus a newline for
+    /// every variant, including verdict scores that are NaN, signed
+    /// zeros, subnormals and whole numbers.
+    #[test]
+    fn write_response_matches_encode(
+        choice in 0usize..10,
+        unit in 0usize..100_000,
+        tick in 0u64..u64::MAX,
+        plain in prop::collection::vec(-1e6f64..1e6, 1..15),
+        specials in prop::collection::vec(0usize..2 * SPECIAL_SAMPLES.len(), 14..15),
+    ) {
+        let scores: Vec<f64> = plain
+            .iter()
+            .zip(&specials)
+            .map(|(&v, &s)| SPECIAL_SAMPLES.get(s).copied().unwrap_or(v))
+            .collect();
+        // `Stats` doubles its tick; every other variant takes it whole.
+        let tick = if choice == 6 { tick / 2 } else { tick };
+        let response = response_for(choice, unit, tick, &scores);
+        let mut written = Vec::new();
+        write_response(&response, &mut written).unwrap();
+        prop_assert_eq!(
+            String::from_utf8(written).unwrap(),
+            format!("{}\n", encode(&response))
+        );
+    }
+}
+
+#[test]
+fn tick_decode_edge_cases_match_generic_parser() {
+    for line in [
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[],[1.5]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[-0,-0.0,0]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[null,1e400,-1e-400]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[inf]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[NaN]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[1,]]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[1],]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[1]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[1]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[[1]]]}}"#,
+        r#"{"Tick":{"unit":-0,"tick":01,"frame":[[1]]}}"#,
+        r#"{"Tick":{"unit":18446744073709551615,"tick":18446744073709551615,"frame":[]}}"#,
+        r#"{"Tick":{"unit":18446744073709551616,"tick":0,"frame":[]}}"#,
+        r#"{"Tick":{"unit":0,"tick":0,"frame":[[9223372036854775807,-9223372036854775808]]}}"#,
+        "{\"Tick\":{\"unit\":0,\"tick\":0,\"frame\":[[1]]}}\r\n",
+        "{\"Tick\":{\"unit\":0,\"tick\":0,\"frame\":[[1]]}}\u{a0}",
+        "{\"Tick\":{\"unit\":0,\"tick\":0,\"frame\":[[\u{661}]]}}",
+    ] {
+        assert_decodes_like_generic(line);
+    }
+    // Frames wider than the scanner stages still decode, generically.
+    for (rows, samples) in [(65, 3), (3, 65), (80, 80)] {
+        let frame = vec![vec![0.25; samples]; rows];
+        let line = encode(&Request::Tick {
+            unit: 1,
+            tick: 2,
+            frame: frame.clone(),
+        });
+        assert_decodes_like_generic(&line);
+        assert_eq!(
+            decode_request(&line).unwrap(),
+            Request::Tick {
+                unit: 1,
+                tick: 2,
+                frame
+            }
+        );
     }
 }
 

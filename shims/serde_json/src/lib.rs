@@ -231,12 +231,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 code point.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| Error::new("invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run ends on a code-point boundary
+                // and is validated once.
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let text =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| Error::new("invalid UTF-8"))?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -355,6 +361,44 @@ mod tests {
         assert!(from_str::<Value>("[1,2").is_err());
         assert!(from_str::<Value>("12x").is_err());
         assert!(from_str::<Value>("").is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_round_trip() {
+        for text in [
+            "héllo wörld",
+            "日本語のテキスト",
+            "mixed ascii ∑ and 🚀 emoji",
+            "ü",
+        ] {
+            let json = to_string(&text.to_string()).unwrap();
+            let back: String = from_str(&json).unwrap();
+            assert_eq!(back, text);
+        }
+        let v: Value = from_str("{\"ключ\":\"значение\",\"k\":[\"α\",\"β\"]}").unwrap();
+        assert_eq!(v.get("ключ"), Some(&Value::Str("значение".into())));
+        assert_eq!(v.get("k").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_characters() {
+        let parsed: String = from_str(r#""é\"ü\\日\n🚀\u00e9\té""#).unwrap();
+        assert_eq!(parsed, "é\"ü\\日\n🚀é\té");
+        let text = "\"日\"\\ü\\\n🚀\t";
+        let back: String = from_str(&to_string(&text.to_string()).unwrap()).unwrap();
+        assert_eq!(back, text);
+    }
+
+    #[test]
+    fn long_multibyte_string_round_trips() {
+        let text = "ab\u{e9}".repeat(20_000);
+        let json = to_string(&text).unwrap();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, text);
+        assert!(
+            from_str::<String>(&json[..json.len() - 1]).is_err(),
+            "unterminated"
+        );
     }
 
     #[test]

@@ -12,22 +12,42 @@
 //! 1.2× its `KpiQueues` slab, fresh and after serving ticks through a
 //! separate arena.
 //!
+//! The third budget is the wire's: decoding a steady producer's `Tick`
+//! line allocates only the frame it returns (one vector per database plus
+//! the outer one), and writing an `Accepted` or `Verdict` reply into a
+//! warm buffer allocates nothing.
+//!
 //! The allocator below wraps `System` and counts every `alloc` /
-//! `realloc` / `alloc_zeroed` in this test binary (integration tests link
-//! their own binaries, so the counter never sees other suites), and keeps
-//! a running total of live heap bytes. Both counters are process-wide, so
-//! the tests take [`SERIAL`] and never overlap.
+//! `realloc` / `alloc_zeroed` per thread, and keeps a process-wide running
+//! total of live heap bytes (integration tests link their own binaries,
+//! so the counters never see other suites). The count is per thread
+//! because the test harness spawns and reports tests on other threads
+//! while a test measures. The live-bytes total is process-wide, so the
+//! tests take [`SERIAL`] and never overlap.
 
 use dbcatcher::core::config::{CorrelationBackend, DbCatcherConfig, DelayScan};
 use dbcatcher::core::pipeline::DbCatcher;
 use dbcatcher::core::scratch::TickScratch;
+use dbcatcher::core::state::DbState;
+use dbcatcher::core::Verdict;
+use dbcatcher::serve::protocol::{decode_request, encode, write_response, Request, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without `Drop`: reading it never
+    // allocates and never registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -40,14 +60,16 @@ static SERIAL: Mutex<()> = Mutex::new(());
 // `layout`, dealloc/realloc are only reached with pointers this allocator
 // handed out, and no unwinding crosses the allocator boundary. This impl
 // delegates every operation verbatim to `std::alloc::System` — the same
-// allocator the program would use anyway — and only updates relaxed
-// atomic counters on the side. The counters cannot unwind or allocate,
+// allocator the program would use anyway — and only updates a relaxed
+// atomic and a `const` thread-local counter on the side (`try_with`, so
+// a thread being torn down is skipped, not a panic). The counters cannot
+// unwind or allocate,
 // and they never dereference a pointer (a null check compares its
 // value), so the entire safety obligation is inherited from `System`,
 // which upholds it by definition.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
@@ -56,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
@@ -65,7 +87,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         let moved = System.realloc(ptr, layout, new_size);
         // on failure the old block stays allocated at its old size
         if !moved.is_null() {
@@ -83,8 +105,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn live_bytes() -> i64 {
@@ -220,5 +243,80 @@ fn detector_heap_stays_within_the_queue_slab() {
             served <= budget,
             "{dbs} DBs: after 400 ticks the detector holds {served} B, budget {budget} B"
         );
+    }
+}
+
+/// A producer's `Tick` line for `dbs` databases of the default 14 KPIs,
+/// as `encode` writes it: fractional, whole and missing samples.
+fn tick_line(dbs: usize) -> String {
+    let kpis = DbCatcherConfig::default().num_kpis;
+    let mut frame: Vec<Vec<f64>> = (0..dbs).map(|_| Vec::with_capacity(kpis)).collect();
+    fill_frame(&mut frame, kpis, 7);
+    frame[0][1] = 250.0;
+    frame[dbs - 1][kpis - 1] = f64::NAN;
+    encode(&Request::Tick {
+        unit: 913,
+        tick: 48_211,
+        frame,
+    })
+}
+
+#[test]
+fn tick_decode_allocates_only_the_frame() {
+    let _serial = serial();
+    for (dbs, budget) in [(5usize, 6u64), (16, 17)] {
+        let line = tick_line(dbs) + "\n";
+        let before = allocations();
+        let request = decode_request(&line).expect("canonical Tick line");
+        let allocated = allocations() - before;
+        let Request::Tick { frame, .. } = &request else {
+            panic!("decoded {request:?}");
+        };
+        assert_eq!(frame.len(), dbs);
+        assert!(
+            allocated <= budget,
+            "{dbs} DBs: decoding one Tick line allocated {allocated} times, budget {budget}"
+        );
+    }
+}
+
+#[test]
+fn ack_and_verdict_writes_allocate_nothing() {
+    let _serial = serial();
+    let accepted = Response::Accepted {
+        unit: 913,
+        tick: 48_211,
+    };
+    let verdict = Response::Verdict {
+        unit: 913,
+        at_tick: 48_211,
+        verdict: Verdict {
+            db: 3,
+            start_tick: 48_180,
+            end_tick: 48_211,
+            state: DbState::Abnormal,
+            window_size: 31,
+            expansions: 1,
+            scores: vec![
+                0.8125,
+                1.0,
+                f64::NAN,
+                -0.0,
+                5e-324,
+                0.123_456_789_012_345_68,
+            ],
+        },
+    };
+    let mut out: Vec<u8> = Vec::with_capacity(4096);
+    for response in [&accepted, &verdict] {
+        out.clear();
+        let before = allocations();
+        write_response(response, &mut out).expect("a Vec never refuses a write");
+        let allocated = allocations() - before;
+        assert_eq!(
+            allocated, 0,
+            "writing {response:?} allocated {allocated} times"
+        );
+        assert_eq!(out, format!("{}\n", encode(response)).into_bytes());
     }
 }
